@@ -578,11 +578,11 @@ def run_fifo_columnar(
 ) -> ColumnarFifoRun:
     """Sweep sorted ``arrivals`` through the FIFO dispatch rule, columnar.
 
-    Bit-identical to the object loop in
-    :meth:`repro.serving.engine.ServingEngine._step_fifo` with the seed
-    argmin-free-clock rule: same ``start = max(free, arrival)``, same
-    ``bisect_right`` admission boundary, same expired-prefix drop predicate,
-    same at-least-one batch rule, and ``finish = start + service`` with the
+    Bit-identical to the engine's object loop
+    (:meth:`repro.serving.engine.ServingEngine.step`) under FIFO with the
+    seed argmin-free-clock rule: same ``start = max(free, arrival)``, same
+    admission of every request arrived by ``start``, same ``start - arrival
+    > drop_after`` expiry predicate, and ``finish = start + service`` with the
     *same* service times (``latency_tables[server][size]`` must be the
     executor's ``batch_latency`` evaluated per size).  ``free_at``/``busy``
     are mutated in place, exactly as the object loop leaves them.
@@ -644,8 +644,8 @@ def run_fifo_columnar(
         end_index = push_right(arr, start, lo, hi if hi < n else n)
 
         if drop_after is not None:
-            # Expired prefix: searchsorted boundary + exact-predicate walk
-            # (the _expired_prefix_end arithmetic, on the float list).
+            # Expired prefix: searchsorted boundary + a walk that re-applies
+            # the object loop's exact per-request predicate.
             cut = start - drop_after
             fresh = push_left(arr, cut, pos, end_index)
             while fresh > pos and not (start - arr[fresh - 1] > drop_after):

@@ -16,14 +16,14 @@ ratio it runs at are pluggable:
   register one executor *per server* (e.g. K ``RuntimeExecutor``\\ s, each
   owning an independent prepared-kernel cache).
 * :class:`~repro.serving.schedulers.Scheduler` — the queue discipline.
-  The default is FIFO (the seed behaviour, served by a fast array path);
+  The default is FIFO (the seed behaviour);
   :class:`~repro.serving.schedulers.PriorityScheduler` and the SLO-aware
   :class:`~repro.serving.schedulers.EdfScheduler` reorder queued requests by
   per-request ``priority``/``deadline`` fields.
 * :class:`~repro.serving.placement.Placer` — which server the next batch
   runs on.  ``placer=None`` keeps the seed argmin-free-clock dispatch
-  (inlined, bit-identical); heterogeneous clusters plug in least-work,
-  weighted-by-speed or model-affinity placement (see
+  (:class:`~repro.serving.placement.FreeClockPlacer`, bit-identical);
+  heterogeneous clusters plug in least-work or model-affinity placement (see
   :mod:`repro.serving.placement` and :mod:`repro.serving.cluster`).
 * :class:`RatioPolicy` — picks the 4-bit ratio for each batch.  Policies see
   a :class:`~repro.serving.policies.PolicyContext` (start time, queue depth,
@@ -66,7 +66,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -98,7 +100,7 @@ from repro.serving.metrics import (
     slo_attainment,
     summarize_latencies,
 )
-from repro.serving.placement import Placer, PlacementContext
+from repro.serving.placement import FreeClockPlacer, Placer, PlacementContext
 from repro.serving.policies import PolicyContext
 from repro.serving.schedulers import FifoScheduler, Scheduler, store_keys
 
@@ -115,6 +117,22 @@ class BatchingConfig:
     # queue; ``drop_after`` (seconds) optionally drops requests that waited
     # longer than this (disabled by default, as in the paper).
     drop_after: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject a batch size below 1 or a negative ``drop_after``.
+
+        Runs at construction and again when a session starts, since the
+        config is mutable.
+        """
+        if not self.max_batch >= 1:
+            raise ValueError(f"max_batch must be >= 1; got {self.max_batch!r}")
+        if self.drop_after is not None and not self.drop_after >= 0:
+            raise ValueError(
+                f"drop_after must be >= 0 (or None); got {self.drop_after!r}"
+            )
 
 
 @dataclass
@@ -478,25 +496,13 @@ def requests_from_trace(
     return list(view)
 
 
-def _expired_prefix_end(
-    arrivals: np.ndarray, lo: int, hi: int, start: float, drop_after: float
-) -> int:
-    """First position in ``[lo, hi)`` whose request has *not* expired.
-
-    The expiry predicate is exactly the seed's ``start - arrival >
-    drop_after``; over sorted arrivals it selects a prefix (float
-    subtraction is monotone).  ``searchsorted`` on the algebraically
-    equivalent ``arrival < start - drop_after`` lands within an ulp of that
-    boundary, so a local walk re-applies the exact predicate — keeping the
-    FIFO and scheduled paths' drop *sets* identical to each other and to
-    the per-element seed arithmetic, without an O(queue) scan per batch.
-    """
-    fresh = lo + int(np.searchsorted(arrivals[lo:hi], start - drop_after, side="left"))
-    while fresh > lo and not (start - arrivals[fresh - 1] > drop_after):
-        fresh -= 1
-    while fresh < hi and (start - arrivals[fresh]) > drop_after:
-        fresh += 1
-    return fresh
+def _require_finite(arrivals: np.ndarray) -> None:
+    """Reject NaN/inf arrivals, which would otherwise vanish unserved."""
+    bad = ~np.isfinite(arrivals)
+    if bad.any():
+        raise ValueError(
+            f"arrival_time must be finite; got {float(arrivals[bad][0])!r}"
+        )
 
 
 class _Session:
@@ -511,6 +517,7 @@ class _Session:
         trace: Optional[RequestTrace],
         duration: Optional[float],
         record_responses: bool,
+        fifo: bool,
     ) -> None:
         num_requests = len(slot_arrivals)
         self.slot_arrivals = slot_arrivals
@@ -518,6 +525,8 @@ class _Session:
         # Columnar backing store when request_objs is a LazyRequests view
         # (store-backed sessions read metadata from columns, not objects).
         self.store = getattr(request_objs, "store", None)
+        # The model of every request so far (None when mixed); submit()
+        # clears it when a request for another model streams in.
         self.single_model = single_model
         self.trace = trace
         self.duration = duration
@@ -551,24 +560,36 @@ class _Session:
         # autoscaling); a deactivated server finishes its running batch but
         # receives no new ones.
         self.active: List[int] = list(range(num_servers))
-        # Pending admission, sorted by arrival: positions >= ``pos`` are not
-        # yet served (FIFO path) / not yet admitted to the queue (scheduled
-        # path).  ``pend_slots[p]`` maps a pending position back to the
+        # Pending admission, sorted by pend key (arrival, or a migrant's
+        # ready key): positions >= ``pos`` are not yet admitted to the
+        # queue.  ``pend_slots[p]`` maps a pending position back to the
         # stable per-request slot index.
         self.pend_arrivals = slot_arrivals
         self.pend_slots = np.arange(num_requests, dtype=np.intp)
         self.pos = 0
-        # Scheduled path only: admitted-but-unserved requests, a heap
-        # ordered by (scheduler key, arrival, slot) — arrival then
-        # admission slot are the FIFO tie-breakers behind the discipline's
-        # key.  ``arrival_heap`` (lazily cleaned against ``queued_slots``)
-        # answers "earliest queued arrival" without scanning the queue.
-        self.queue: List[Tuple[Tuple, float, int]] = []
+        # Admitted-but-unserved requests, ordered by (scheduler key, pend
+        # key, tie, slot) — pend key then tie (see _admit) are the FIFO
+        # tie-breakers behind the discipline's key.  A heap, except under
+        # FIFO: its key is empty and it admits in pend-key order almost
+        # always, so its queue is a sorted deque, served and expired from
+        # the left.
+        self.queue: Any = deque() if fifo else []
+        # FIFO only: ``admitted`` counts admissions (its tie-breaker), and
+        # the queued pend keys stay an ascending list from ``fifo_head`` on,
+        # so "queued by time t" is a bisect.
+        self.admitted = 0
+        self.fifo_keys: List[float] = []
+        self.fifo_head = 0
+        # Other disciplines: ``arrival_heap`` (lazily cleaned against
+        # ``queued_slots``) answers "earliest queued pend key" without
+        # scanning the queue.
         self.arrival_heap: List[Tuple[float, int]] = []
         self.queued_slots: set = set()
 
     def model_name(self, slot: int) -> str:
         """Model of one slot, without materializing a store-backed Request."""
+        if self.single_model is not None:
+            return self.single_model
         if self.store is not None:
             return self.store.model_name(int(slot))
         return self.request_objs[int(slot)].model
@@ -610,16 +631,16 @@ class ServingEngine:
             raise ValueError("num_servers must be >= 1")
         self.batching = batching if batching is not None else BatchingConfig()
         self.num_servers = int(num_servers)
-        self.scheduler = scheduler
+        self.scheduler = scheduler if scheduler is not None else FifoScheduler()
         # ``columnar`` lets finish() drain eligible FIFO sessions through
         # the vectorized core (repro.serving.core) — identical results,
         # orders of magnitude faster at trace scale.  False forces the
         # object loop everywhere (the parity-test reference).
         self.columnar = bool(columnar)
-        # ``placer=None`` keeps the inlined argmin-free-clock dispatch (the
-        # seed rule, bit-identical); a Placer generalizes server selection
-        # for heterogeneous clusters (see repro.serving.placement).
-        self.placer = placer
+        # ``placer=None`` places through FreeClockPlacer (the seed
+        # argmin-free-clock rule, bit-identical); a Placer generalizes server
+        # selection for heterogeneous clusters (see repro.serving.placement).
+        self.placer = placer if placer is not None else FreeClockPlacer()
         # Optional telemetry bus: receives per-batch/per-drop events for the
         # cluster control plane (see repro.serving.telemetry).
         self.telemetry = telemetry
@@ -627,7 +648,7 @@ class ServingEngine:
         # None keeps every hot path on a single is-None branch per batch,
         # preserving bit-identity with the untraced engine.
         self.tracer = tracer
-        self._fifo = scheduler is None or isinstance(scheduler, FifoScheduler)
+        self._fifo = isinstance(self.scheduler, FifoScheduler)
         self._endpoints: Dict[str, _Endpoint] = {}
         self._session: Optional[_Session] = None
 
@@ -729,6 +750,7 @@ class ServingEngine:
         """
         if self._session is not None:
             raise RuntimeError("a serving session is already open; finish() it first")
+        self.batching.validate()
         if trace is not None and requests is not None:
             raise ValueError("provide exactly one of trace or requests")
         if not self._endpoints:
@@ -811,6 +833,7 @@ class ServingEngine:
             # over admissions see the arrival horizon.
             run_duration = float(duration) if duration is not None else None
 
+        _require_finite(arrivals)
         if record_responses is None:
             record_responses = request_objs is not None
 
@@ -826,6 +849,7 @@ class ServingEngine:
             trace,
             run_duration,
             record_responses,
+            self._fifo,
         )
 
     def submit(self, requests: Union[Request, Sequence[Request]]) -> None:
@@ -854,9 +878,12 @@ class ServingEngine:
         for request in new:
             if request.model not in self._endpoints:
                 raise KeyError(f"model {request.model!r} is not registered")
+        new_arrivals = np.asarray([r.arrival_time for r in new], dtype=np.float64)
+        _require_finite(new_arrivals)
+        if any(request.model != session.single_model for request in new):
+            session.single_model = None
         first_slot = len(session.request_objs)
         session.request_objs.extend(new)
-        new_arrivals = np.asarray([r.arrival_time for r in new], dtype=np.float64)
         session.slot_arrivals = np.concatenate([session.slot_arrivals, new_arrivals])
         session.latencies = np.concatenate(
             [session.latencies, np.zeros(len(new), dtype=np.float64)]
@@ -868,10 +895,7 @@ class ServingEngine:
 
     def step(self) -> Optional[BatchRecord]:
         """Execute the next batch; ``None`` when no admitted work remains."""
-        session = self._require_session()
-        if self._fifo:
-            return self._step_fifo(session)
-        return self._step_scheduled(session)
+        return self._step_scheduled(self._require_session())
 
     def finish(self) -> EngineResult:
         """Drain the queue, close the session and return the result.
@@ -1074,12 +1098,12 @@ class ServingEngine:
             + [record.finish for record in kept_records if record.server == server]
         )
 
-        # The scheduled path's arrival heap may hold lazily-uncleaned
-        # entries from the victims' first pass through the queue; when a
-        # migrant re-enters ``queued_slots`` those stale entries would
-        # resurrect with the *original* arrival, defeating the migration
-        # ready gate (and expiring migrants against their pre-fault wait).
-        # Preemption is rare, so an explicit purge is cheap.
+        # The arrival heap may hold lazily-uncleaned entries from the
+        # victims' first pass through the queue; when a migrant re-enters
+        # ``queued_slots`` those stale entries would resurrect with the
+        # *original* arrival, defeating the migration ready gate (and
+        # expiring migrants against their pre-fault wait).  Preemption is
+        # rare, so an explicit purge is cheap.
         if s.arrival_heap:
             preempted = set(migrant_slots)
             s.arrival_heap = [
@@ -1279,7 +1303,9 @@ class ServingEngine:
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
 
-        if not self.columnar or not self._fifo or self.placer is not None:
+        if not self.columnar or not self._fifo:
+            return False
+        if type(self.placer) is not FreeClockPlacer:
             return False
         if s.pos != 0 or s.records or s.queue or s.dropped or s.migrated:
             return False
@@ -1420,222 +1446,205 @@ class ServingEngine:
         )
 
     # ------------------------------------------------------------------
-    # FIFO fast path (bit-identical to the seed loop at num_servers=1)
-    # ------------------------------------------------------------------
-    def _step_fifo(self, s: _Session) -> Optional[BatchRecord]:
-        max_batch = self.batching.max_batch
-        drop_after = self.batching.drop_after
-        arrivals = s.pend_arrivals
-        request_objs = s.request_objs
-
-        while True:
-            num_requests = len(arrivals)
-            if s.pos >= num_requests:
-                return None
-            index = s.pos
-            first_arrival = arrivals[index]
-            if self.placer is None:
-                # The seed dispatch rule, inlined (bit-identical fast path).
-                server = min(s.active, key=s.free_at.__getitem__)
-            else:
-                head_model = (
-                    s.single_model
-                    if request_objs is None
-                    else s.model_name(s.pend_slots[index])
-                )
-                # Size hint: arrivals by the *earliest possible* service
-                # start (the earliest-free active clock), not by the head's
-                # arrival — under backlog the batch really forms then, and
-                # a head-arrival count (usually 1) would under-cost slow
-                # servers by up to max_batch x.
-                est_start = max(
-                    min(s.free_at[server] for server in s.active),
-                    float(first_arrival),
-                )
-                arrived = bisect.bisect_right(arrivals, est_start, lo=index) - index
-                server = self._select_server(
-                    s, float(first_arrival), head_model, num_requests - index, arrived
-                )
-            start = max(s.free_at[server], first_arrival)
-            # All requests that have arrived by the time the server starts.
-            end_index = bisect.bisect_right(arrivals, start, lo=index)
-
-            if drop_after is not None:
-                # Expired requests form a prefix of the arrived window
-                # (arrivals are sorted); drop it *before* forming the batch
-                # so drops never consume batch slots (backfill).  Restart
-                # the dispatch loop afterwards: the head (and possibly its
-                # model) changed, so the placer must re-decide.  Bit-
-                # identical for the seed rule: drops imply the start was
-                # free-clock-dominated, so the re-derived batch is the same.
-                fresh = _expired_prefix_end(
-                    arrivals, index, end_index, start, drop_after
-                )
-                if fresh > index:
-                    self._drop(s, s.pend_slots[index:fresh], start)
-                    s.pos = fresh
-                    continue
-
-            limit = min(end_index, index + max_batch)
-            if limit == index:
-                limit = index + 1  # serve at least the request that triggered us
-
-            if request_objs is None:
-                head_model = s.single_model
-                batch_end = limit
-            elif s.store is not None and s.store.single_model is not None:
-                # Store-backed sessions are fixed at start(): single-model
-                # stores can never see another model, so skip the walk.
-                head_model = s.store.single_model
-                batch_end = limit
-            else:
-                # Same-model batching: a batch is a FIFO run of consecutive
-                # requests for one model (batches never mix models).
-                head_model = s.model_name(s.pend_slots[index])
-                batch_end = index + 1
-                while (
-                    batch_end < limit
-                    and s.model_name(s.pend_slots[batch_end]) == head_model
-                ):
-                    batch_end += 1
-
-            slots = s.pend_slots[index:batch_end]
-            record = self._execute(
-                s, server, start, head_model, slots, queue_depth=end_index - index
-            )
-            s.pos = batch_end
-            return record
-
-    # ------------------------------------------------------------------
-    # Scheduled path (priority / EDF / custom disciplines)
+    # Object dispatch loop (every discipline; the columnar sweep's reference)
     # ------------------------------------------------------------------
     def _step_scheduled(self, s: _Session) -> Optional[BatchRecord]:
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
-        request_objs = s.request_objs
-        scheduler = self.scheduler
+        fifo = self._fifo
 
         while True:
-            if not s.queue and s.pos >= len(s.pend_arrivals):
+            pending = len(s.pend_arrivals) - s.pos
+            if not s.queue and not pending:
                 return None
-            if s.queue:
-                head_time = self._earliest_queued_arrival(s)
+            free_min = min(map(s.free_at.__getitem__, s.active))
+            if fifo:
+                # FIFO places before admission.  The head is the oldest
+                # unserved request, queued or not (a late submission or a
+                # requeued migrant can precede every queued one).  The placer
+                # sees its pend key and, as the size hint, the requests
+                # arrived by the earliest possible start (under backlog the
+                # batch forms then, not at the head's arrival); the batch
+                # then admits up to the *placed* server's start.
+                if s.queue:
+                    _, head_time, _, head_slot = s.queue[0]
+                if pending and (not s.queue or s.pend_arrivals[s.pos] < head_time):
+                    head_time = float(s.pend_arrivals[s.pos])
+                    head_slot = s.pend_slots[s.pos]
+                # The hint is capped at max_batch, so its pending search is.
+                earliest = max(free_min, head_time)
+                arrived = self._queued_by(s, earliest) + bisect.bisect_right(
+                    s.pend_arrivals, earliest, s.pos, s.pos + min(pending, max_batch)
+                ) - s.pos
+                server = self._select_server(
+                    s, head_time, s.model_name(head_slot), len(s.queue) + pending,
+                    arrived,
+                )
+                start = max(s.free_at[server], head_time)
             else:
-                head_time = float(s.pend_arrivals[s.pos])
-            # Admission and expiry run against the earliest-free active
-            # clock *before* placement: admitting can reorder the queue
-            # head (EDF/priority) and expiry can remove it, and the placer
-            # must see the head that will actually lead the batch.  With
-            # ``placer=None`` the dispatched server IS the earliest-free
-            # one, so this is exactly the seed arithmetic.
-            start = max(
-                min(s.free_at[server] for server in s.active), head_time
-            )
-            # Admit everything that has arrived by the batch start.  The
-            # pend key — the arrival time for fresh requests (bit-identical
-            # to the seed), the migration-ready key for requeued migrants —
-            # is what queue ordering ties break on and what ``drop_after``
-            # waiting is measured from, so a migrant's wait restarts at its
-            # migration exactly as it does on the FIFO path.
-            end_index = bisect.bisect_right(s.pend_arrivals, start, lo=s.pos)
-            if end_index > s.pos:
-                chunk_slots = s.pend_slots[s.pos:end_index]
-                if s.store is not None:
-                    # Vectorized key extraction over the columnar store —
-                    # same key values as scheduler.key on the object views.
-                    keys = store_keys(scheduler, s.store, chunk_slots)
+                # Admission and expiry run against the earliest-free active
+                # clock *before* placement: admitting can reorder the queue
+                # head (EDF/priority) and expiry can remove it, and the
+                # placer must see the head that will actually lead the batch.
+                if s.queue:
+                    head_time = self._earliest_queued_arrival(s)
                 else:
-                    keys = [
-                        scheduler.key(request_objs[slot])
-                        for slot in chunk_slots.tolist()
-                    ]
-                chunk_arrivals = s.pend_arrivals[s.pos:end_index].tolist()
-                for key, arrival, slot in zip(
-                    keys, chunk_arrivals, chunk_slots.tolist()
-                ):
-                    heapq.heappush(s.queue, (key, arrival, slot))
-                    heapq.heappush(s.arrival_heap, (arrival, slot))
-                    s.queued_slots.add(slot)
-            s.pos = end_index
+                    head_time = float(s.pend_arrivals[s.pos])
+                start = max(free_min, head_time)
+            self._admit(s, start)
 
             # Expiry restarts the loop after dropping: the queue head (and
             # its model) may have changed, so placement must re-decide.
-            # Bit-identical for the seed rule: every kept entry arrived by
-            # ``start`` and none is expired, so the re-derived
-            # start/admissions/batch are unchanged.
             if drop_after is not None and self._expire_queued(s, start, drop_after):
                 continue
 
-            # The queue head is now final: place the batch's server.  The
-            # seed rule re-derives the earliest-free server (``start`` is
-            # already its clock, bit-identical); a placer may pick a later-
-            # free server, whose service then begins when that server frees
-            # (admission stays anchored to the earliest-free clock, so a
-            # batch never contains a request that has not arrived by its
-            # service start).
-            head_model = s.model_name(s.queue[0][2])
-            if self.placer is None:
-                server = min(s.active, key=s.free_at.__getitem__)
-            else:
-                pending = len(s.queue) + (len(s.pend_arrivals) - s.pos)
+            head_model = s.model_name(s.queue[0][3])
+            if not fifo:
+                # The queue head is now final: place the batch's server.  A
+                # placer may pick a later-free server, whose service then
+                # begins when that server frees (admission stays anchored to
+                # the earliest-free clock, so a batch never contains a
+                # request that has not arrived by its service start).
                 server = self._select_server(
-                    s, start, head_model, pending, len(s.queue)
+                    s, start, head_model, len(s.queue) + pending, len(s.queue)
                 )
                 placed_start = max(s.free_at[server], start)
                 if placed_start > start and drop_after is not None:
-                    # The placed server frees later than the earliest-free
-                    # clock the expiry ran against: re-check against the
-                    # real service start so drop_after means the same thing
-                    # on every path (a request never waits beyond it).
+                    # Re-check expiry against the real service start so
+                    # drop_after means the same thing on every placement (a
+                    # request never waits beyond it).
                     if self._expire_queued(s, placed_start, drop_after):
                         continue
                 start = placed_start
 
-            # Pop same-model requests in scheduler order; requests of other
-            # models encountered along the way go back on the heap.
-            queue_depth = len(s.queue)
-            batch_entries: List[Tuple[Tuple, float, int]] = []
-            stash: List[Tuple[Tuple, float, int]] = []
-            while s.queue and len(batch_entries) < max_batch:
-                entry = heapq.heappop(s.queue)
-                if s.model_name(entry[2]) == head_model:
-                    batch_entries.append(entry)
-                else:
-                    stash.append(entry)
-            for entry in stash:
-                heapq.heappush(s.queue, entry)
-            s.queued_slots.difference_update(entry[2] for entry in batch_entries)
-            slots = np.asarray([entry[2] for entry in batch_entries], dtype=np.intp)
+            batch_entries: List[Tuple[Tuple, float, int, int]] = []
+            if fifo:
+                # Head-of-line batching: a FIFO batch is a run of consecutive
+                # same-model requests arrived by its start.  Entries an
+                # earlier, later-starting batch admitted stay queued (and
+                # out of this batch's queue depth): they follow every entry
+                # arrived by the start in queue order.
+                queue_depth = self._queued_by(s, start)
+                mixed = s.single_model is None
+                for _ in range(min(max_batch, queue_depth)):
+                    if mixed and s.model_name(s.queue[0][3]) != head_model:
+                        break
+                    batch_entries.append(s.queue.popleft())
+                self._fifo_served(s, len(batch_entries))
+            else:
+                # Pop same-model requests in scheduler order; requests of
+                # other models encountered along the way go back on the heap.
+                queue_depth = len(s.queue)
+                stash: List[Tuple[Tuple, float, int, int]] = []
+                while s.queue and len(batch_entries) < max_batch:
+                    entry = heapq.heappop(s.queue)
+                    if s.model_name(entry[3]) == head_model:
+                        batch_entries.append(entry)
+                    else:
+                        stash.append(entry)
+                for entry in stash:
+                    heapq.heappush(s.queue, entry)
+                s.queued_slots.difference_update(e[3] for e in batch_entries)
+            slots = np.asarray([entry[3] for entry in batch_entries], dtype=np.intp)
             return self._execute(s, server, start, head_model, slots, queue_depth)
+
+    def _admit(self, s: _Session, start: float) -> None:
+        """Move every pending request whose pend key is <= ``start`` to the queue.
+
+        The pend key — the arrival time for fresh requests, the
+        migration-ready key for requeued migrants — is what queue ordering
+        ties break on and what ``drop_after`` waiting is measured from, so a
+        migrant's wait restarts at its migration.
+        """
+        end_index = bisect.bisect_right(s.pend_arrivals, start, lo=s.pos)
+        if end_index == s.pos:
+            return
+        chunk_slots = s.pend_slots[s.pos:end_index]
+        slots = chunk_slots.tolist()
+        arrivals = s.pend_arrivals[s.pos:end_index].tolist()
+        s.pos = end_index
+        if self._fifo:
+            # FIFO's key is empty and it breaks equal pend keys by admission
+            # order, so a requeued migrant queues behind work already pending
+            # at its ready time.
+            entries = zip(
+                repeat(()), arrivals, range(s.admitted, s.admitted + len(slots)), slots
+            )
+            s.admitted += len(slots)
+            if not s.queue:
+                s.fifo_keys, s.fifo_head = [], 0
+            if not s.queue or arrivals[0] >= s.fifo_keys[-1]:
+                # Behind every queued entry (the usual case).
+                s.queue.extend(entries)
+                s.fifo_keys.extend(arrivals)
+            else:
+                for entry in entries:
+                    bisect.insort(s.queue, entry)
+                    bisect.insort(s.fifo_keys, entry[1], lo=s.fifo_head)
+            return
+        if s.store is not None:
+            # Vectorized key extraction over the columnar store — same key
+            # values as scheduler.key on the object views.
+            keys = store_keys(self.scheduler, s.store, chunk_slots)
+        else:
+            keys = [self.scheduler.key(s.request_objs[slot]) for slot in slots]
+        # Equal pend keys break by slot (the original arrival order).
+        for key, arrival, slot in zip(keys, arrivals, slots):
+            heapq.heappush(s.queue, (key, arrival, slot, slot))
+            heapq.heappush(s.arrival_heap, (arrival, slot))
+            s.queued_slots.add(slot)
+
+    @staticmethod
+    def _fifo_served(s: _Session, count: int) -> None:
+        """Retire the ``count`` smallest FIFO pend keys (just popped)."""
+        s.fifo_head += count
+        if s.fifo_head > 1024 and 2 * s.fifo_head > len(s.fifo_keys):
+            del s.fifo_keys[:s.fifo_head]
+            s.fifo_head = 0
+
+    @staticmethod
+    def _queued_by(s: _Session, time: float) -> int:
+        """Number of queued FIFO requests whose pend key is <= ``time``."""
+        return bisect.bisect_right(s.fifo_keys, time, lo=s.fifo_head) - s.fifo_head
 
     def _expire_queued(self, s: _Session, start: float, drop_after: float) -> bool:
         """Drop queued requests that waited beyond ``drop_after`` by ``start``.
 
         Returns True when anything was dropped (callers restart their
         dispatch loop: the queue head may have changed).  The earliest
-        queued arrival answers in O(1) whether anything expired at all; the
-        O(queue) filter runs only when something did.
+        queued pend key answers whether anything expired at all.  FIFO's
+        expired entries are a prefix of its queue (float subtraction
+        is monotone) and pop from the head; other disciplines filter the
+        queue.
         """
         if not s.queue:
             return False
         if not (start - self._earliest_queued_arrival(s) > drop_after):
             return False
-        expired = [e for e in s.queue if start - e[1] > drop_after]
-        kept = [e for e in s.queue if start - e[1] <= drop_after]
-        heapq.heapify(kept)
-        s.queue = kept
-        s.queued_slots.difference_update(e[2] for e in expired)
-        self._drop(s, np.asarray([e[2] for e in expired], dtype=np.intp), start)
+        if self._fifo:
+            expired = []
+            while s.queue and start - s.queue[0][1] > drop_after:
+                expired.append(s.queue.popleft())
+            self._fifo_served(s, len(expired))
+        else:
+            expired = [e for e in s.queue if start - e[1] > drop_after]
+            kept = [e for e in s.queue if start - e[1] <= drop_after]
+            heapq.heapify(kept)
+            s.queue = kept
+            s.queued_slots.difference_update(e[3] for e in expired)
+        self._drop(s, np.asarray([e[3] for e in expired], dtype=np.intp), start)
         return True
 
-    @staticmethod
-    def _earliest_queued_arrival(s: _Session) -> float:
-        """Earliest arrival among queued requests (queue must be non-empty).
+    def _earliest_queued_arrival(self, s: _Session) -> float:
+        """Earliest pend key among queued requests (queue must be non-empty).
 
-        ``arrival_heap`` holds one entry per ever-queued slot; entries whose
-        slot already left the queue are discarded lazily here, keeping the
-        lookup amortized O(log queue) instead of a per-batch linear scan.
+        FIFO's queue head holds it.  Otherwise ``arrival_heap`` holds one
+        entry per ever-queued slot; entries whose slot already left the
+        queue are discarded lazily here, keeping the lookup amortized
+        O(log queue) instead of a per-batch linear scan.
         """
+        if self._fifo:
+            return s.queue[0][1]
         heap = s.arrival_heap
         while heap and heap[0][1] not in s.queued_slots:
             heapq.heappop(heap)
@@ -1719,10 +1728,7 @@ class ServingEngine:
             queue_depth,
         )
         s.records.append(record)
-        # FIFO-path slots are views into pend_slots; store a copy so a
-        # superseded pending array (streaming submit, migration requeue) is
-        # not pinned alive for the whole session by its batch views.
-        s.record_slots.append(slots.copy() if slots.base is not None else slots)
+        s.record_slots.append(slots)
         if self.telemetry is not None:
             deadline_total, deadline_met = self._deadline_counts(s, slots, finish)
             self.telemetry.record_batch(
@@ -1783,11 +1789,7 @@ class ServingEngine:
         if s.responses is not None:
             for slot in slots:
                 slot = int(slot)
-                model = (
-                    s.model_name(slot)
-                    if s.request_objs is not None or s.store is not None
-                    else s.single_model
-                )
+                model = s.model_name(slot)
                 s.responses[slot] = self._response(
                     s, slot, model, start, float("nan"), 0, float("nan"),
                     mode=self._endpoints[model].mode, dropped=True,

@@ -9,20 +9,18 @@ so it keeps winning batches that a busy fast server would nevertheless have
 engine keeps its invariants (the placer only picks *which* server runs the
 next batch; admission, batching and scheduling are unchanged).
 
-Four disciplines ship with the engine:
+These placers ship with the engine:
 
 * :class:`FreeClockPlacer` — argmin over free clocks; the seed behaviour and
-  the compatibility default (an engine built with ``placer=None`` takes the
-  inlined fast path, bit-identical to the seed simulator at ``num_servers=1``).
+  the default (an engine built with ``placer=None`` places through it,
+  bit-identical to the seed simulator at ``num_servers=1``).
 * :class:`LeastOutstandingWorkPlacer` — minimize the server's outstanding
   *work* (backlog seconds plus the estimated service seconds of the candidate
   batch).  Needs per-server speeds; on a mixed-speed cluster it stops feeding
   idle slow servers as soon as their service time exceeds a fast server's
   backlog-plus-service.
-* :class:`WeightedSpeedPlacer` — earliest estimated *completion* (speed-
-  weighted free clock): ``max(free_at, now) + batch_hint / speed``.  The
-  scheduling-theory ECT rule; differs from least-work in charging the wait
-  until the server frees, not just the work itself.
+  :class:`WeightedSpeedPlacer` (earliest estimated completion, the ECT rule)
+  is an alias: its score is least-work's plus the constant ``now``.
 * :class:`ModelAffinityPlacer` — partitioned / affinity placement: each model
   is restricted to a subset of servers (e.g. models pinned to the accelerators
   holding their weights), with any placer as the rule within the subset.
@@ -188,31 +186,11 @@ class LeastOutstandingWorkPlacer(_SpeedScoredPlacer):
         return min(context.active, key=score)
 
 
-class WeightedSpeedPlacer(_SpeedScoredPlacer):
-    """Earliest estimated completion, speed-weighted (the ECT rule).
-
-    ``score(s) = max(free_at[s], now) + service_seconds(s, batch_hint)``:
-    when the batch would *finish* if placed on ``s``.  Identical to
-    least-work when every server is backlogged; differs for idle servers,
-    whose idle-since gap costs nothing here (service cannot start before
-    ``now`` anyway).  Ties prefer the faster server, then the lower id.
-    Pass per-server ``estimators`` for batch-size-aware service estimates
-    instead of the scalar-speed approximation ``batch_hint / speed``.
-    """
-
-    def place(self, context: PlacementContext) -> int:
-        now = context.time
-        hint = max(context.batch_hint, 1)
-
-        def score(server: int) -> Tuple[float, float, int]:
-            return (
-                max(context.free_at[server], now)
-                + self.service_seconds(server, hint),
-                -self.speeds[server],
-                server,
-            )
-
-        return min(context.active, key=score)
+#: Earliest estimated completion (the ECT rule), ``max(free_at, now) +
+#: service``, is least-work plus the constant ``now`` — since ``max(f, now) =
+#: now + max(f - now, 0)`` — so it picks the same server up to floating-point
+#: rounding; the name is kept for the ``"weighted"`` placer and its callers.
+WeightedSpeedPlacer = LeastOutstandingWorkPlacer
 
 
 class PredictivePlacer(_SpeedScoredPlacer):
@@ -240,8 +218,8 @@ class PredictivePlacer(_SpeedScoredPlacer):
     i.e. the batch-size-aware estimate is *re-scaled by the measured
     degradation* and penalized by forecasted congestion.  Servers without
     telemetry history (cold start, no bus attached) fall back to nominal
-    speeds — the placer then behaves exactly like
-    :class:`WeightedSpeedPlacer`.
+    speeds — the placer then scores like
+    :class:`LeastOutstandingWorkPlacer` (plus the constant ``now``).
 
     ``alpha`` is the EWMA weight of the newest window.  Forecasts fold in
     incrementally (each window is visited once per server), so per-batch

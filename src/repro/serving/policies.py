@@ -112,6 +112,8 @@ class FixedRatioPolicy:
     """Always run at one 4-bit ratio (the fixed deployments of Figure 8)."""
 
     def __init__(self, ratio: float = 0.0) -> None:
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"ratio must be in [0, 1]; got {ratio!r}")
         self.ratio = float(ratio)
 
     def on_run_start(self, trace: RequestTrace) -> None:

@@ -14,10 +14,11 @@ requests with equal keys always serve FIFO by arrival (regardless of the
 order they were pushed through streaming ``submit()``).  Three
 disciplines ship with the engine:
 
-* :class:`FifoScheduler` — arrival order; the seed behaviour.  A
-  ``ServingEngine`` built with ``scheduler=None`` (or an explicit
-  ``FifoScheduler``) takes the fast array path, which is bit-identical to
-  the seed simulator at ``num_servers=1``.
+* :class:`FifoScheduler` — arrival order; the seed behaviour and the
+  default (``scheduler=None``).  Its key is empty, so the engine's
+  tie-breakers alone order the queue; FIFO batches stop at the first
+  request for another model (head-of-line batching) and, at
+  ``num_servers=1``, are bit-identical to the seed simulator.
 * :class:`PriorityScheduler` — higher :attr:`Request.priority` first,
   FIFO within a priority class.
 * :class:`EdfScheduler` — earliest :attr:`Request.deadline` first
@@ -28,9 +29,9 @@ disciplines ship with the engine:
   ``tests/test_serving_engine.py::TestSchedulers``).
 
 Every scheduler other than FIFO requires explicit
-:class:`~repro.serving.engine.Request` lists: the trace-only fast path
-carries arrival times and nothing else, and the engine's scheduled loop
-reads the queued ``Request`` objects to form same-model batches.
+:class:`~repro.serving.engine.Request` lists: a trace carries arrival times
+and nothing else, which is all FIFO's empty key needs, while the other
+disciplines read per-request ``priority``/``deadline`` fields.
 
 Scheduling is orthogonal to *placement*: a scheduler orders **which
 request** serves next, a :class:`~repro.serving.placement.Placer` picks
