@@ -13,12 +13,11 @@ The package is organised around :mod:`repro.serving.engine`:
   through a live engine, and ``run()`` is a thin batch driver over them.
 * **Columnar core** (:mod:`repro.serving.core`): the vectorized,
   event-driven hot path — :class:`~repro.serving.core.RequestStore` keeps
-  request metadata as columns (``Request`` objects become lazy views),
-  :class:`~repro.serving.core.EventCalendar` orders the control plane's
-  typed events in O(log n), and the FIFO fast sweep +
-  streaming-percentile digests let a million-request day clear in
-  seconds, bit-identical to the object loop (see the gated
-  ``cluster_day`` benchmark).
+  request metadata as columns for every engine session (``Request``
+  objects become lazy views), and the FIFO fast sweep + reservoir
+  latency digests let a million-request day clear in seconds,
+  bit-identical to the object loop (see the gated ``cluster_day``
+  benchmark).
 * **Schedulers** (:mod:`repro.serving.schedulers`) order the queue: FIFO
   (the default, bit-identical to the seed simulator), strict priority, or
   earliest-deadline-first for SLO-aware serving, driven by per-request
@@ -83,10 +82,7 @@ bit-identical compatibility wrappers running exactly those configurations.
 """
 
 from repro.serving.core import (
-    Event,
-    EventCalendar,
     LazyRequests,
-    P2Quantile,
     RequestStore,
     ReservoirSample,
 )
@@ -217,8 +213,6 @@ __all__ = [
     "DropExpiredMigration",
     "EdfScheduler",
     "EngineResult",
-    "Event",
-    "EventCalendar",
     "Executor",
     "FaultEvent",
     "FaultSchedule",
@@ -240,7 +234,6 @@ __all__ = [
     "ModelAffinityPlacer",
     "ModeledExecutor",
     "ModeledGenerationBackend",
-    "P2Quantile",
     "PerServerAdaptiveRatioPolicy",
     "Placer",
     "PlacementContext",

@@ -47,14 +47,14 @@ latencies); see ``tests/test_serving_cluster.py``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
+from typing import Deque, Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.data.traces import RequestTrace
 from repro.hardware.npu import NpuConfig, NpuLatencyModel
-from repro.serving.core import WINDOW_BOUNDARY, EventCalendar
 from repro.serving.engine import (
     BatchingConfig,
     EngineResult,
@@ -856,9 +856,10 @@ class ClusterEngine:
                     )
         self.migration = migration
         self.model_floors = dict(model_floors) if model_floors is not None else None
-        # Per-run fault calendar (FAULT events in schedule order); rebuilt by
-        # run() so one immutable schedule drives any number of replays.
-        self._fault_calendar: Optional[EventCalendar] = None
+        # Per-run fault cursor (the schedule's events, already time-sorted);
+        # rebuilt by run() so one immutable schedule drives any number of
+        # replays.
+        self._pending_faults: Optional[Deque[FaultEvent]] = None
         # Per-server degradable executor wrappers (slowdown faults): one
         # list per server, one wrapper per registered model on it.  Only
         # populated when a fault schedule exists, so the default path keeps
@@ -1063,8 +1064,8 @@ class ClusterEngine:
                 self.autoscaler.attach(self.telemetry)
             if hasattr(self.autoscaler, "reset"):
                 self.autoscaler.reset()
-        self._fault_calendar = (
-            self.fault_schedule.as_events()
+        self._pending_faults = (
+            deque(self.fault_schedule.events)
             if self.fault_schedule is not None
             else None
         )
@@ -1096,9 +1097,10 @@ class ClusterEngine:
             # scales or faults: its burn rates read the closed windows.
             or self.slo_monitor is not None
         )
-        boundaries = EventCalendar()
-        if control:
-            boundaries.schedule(self.telemetry.window, WINDOW_BOUNDARY, 0)
+        # The one pending window boundary: window ``window`` closes at
+        # ``boundary``, then its successor becomes pending.
+        window = 0
+        boundary = self.telemetry.window
         try:
             if not control:
                 # No window-boundary decisions to make: hand the whole
@@ -1111,20 +1113,21 @@ class ClusterEngine:
                 while True:
                     record = self.engine.step()
                     if record is None:
-                        if self._fault_calendar:
+                        if self._pending_faults:
                             # Trailing faults: events after the last batch
                             # start (a server crashed in the final window)
                             # must still land.  Apply ONE event, then
                             # re-enter the step loop: a crash may requeue
                             # migrants whose batches a *later* event should
-                            # see in flight — draining the whole calendar
+                            # see in flight — draining every pending fault
                             # here would apply future faults before the work
                             # they are meant to disturb exists.
-                            event = self._fault_calendar.pop().payload
-                            boundary = (
-                                self.telemetry.window_index(event.time) + 1
-                            ) * self.telemetry.window
-                            self._apply_fault(event, boundary)
+                            event = self._pending_faults.popleft()
+                            self._apply_fault(
+                                event,
+                                (self.telemetry.window_index(event.time) + 1)
+                                * self.telemetry.window,
+                            )
                             continue
                         break
                     # Close every window boundary the clock has passed.
@@ -1132,17 +1135,11 @@ class ClusterEngine:
                     # servers, so a boundary closes when *some* batch starts
                     # beyond it; stragglers still land in their own
                     # (already-closed) window's telemetry cell, only the
-                    # scaling decision sees them late.  Each WINDOW_BOUNDARY
-                    # event reschedules its successor, so the calendar holds
-                    # one pending boundary at a time.
-                    while record.start >= boundaries.peek_time():
-                        due = boundaries.pop()
-                        self._close_window(due.payload, due.time)
-                        boundaries.schedule(
-                            (due.payload + 2) * self.telemetry.window,
-                            WINDOW_BOUNDARY,
-                            due.payload + 1,
-                        )
+                    # scaling decision sees them late.
+                    while record.start >= boundary:
+                        self._close_window(window, boundary)
+                        window += 1
+                        boundary = (window + 1) * self.telemetry.window
                 result = self.engine.finish()
         except BaseException:
             # A mid-run failure (an unsurvivable crash fault, a rogue
@@ -1167,18 +1164,19 @@ class ClusterEngine:
     def _close_window(self, window: int, boundary: float) -> None:
         """Apply due faults, evaluate SLO burn, then one autoscaling decision.
 
-        Faults pop off the per-run calendar strictly *before* the boundary —
+        Faults pop off the per-run cursor strictly *before* the boundary —
         a fault strikes mid-window but lands when the window closes, so the
-        calendar is consumed here rather than merged with the boundary
-        events (a merged heap would fire faults at their own timestamps,
+        cursor is consumed here rather than merged with the boundaries (a
+        merged timeline would fire faults at their own timestamps,
         mid-window, which is not the model).  The SLO monitor reads the
         just-closed window next (alerts land on the timeline beside the
         faults that caused them), and the autoscaler decides last — with
         any fresh alerts already visible as an input signal.
         """
-        if self._fault_calendar is not None:
-            while self._fault_calendar.peek_time() < boundary:
-                self._apply_fault(self._fault_calendar.pop().payload, boundary)
+        faults = self._pending_faults
+        if faults is not None:
+            while faults and faults[0].time < boundary:
+                self._apply_fault(faults.popleft(), boundary)
         if self.slo_monitor is not None:
             alerts = self.slo_monitor.evaluate(
                 self.telemetry, window, self.engine.active_servers

@@ -1,45 +1,24 @@
-"""Columnar event-driven serving core: arrays and events behind the object API.
+"""Columnar serving core: arrays behind the object API.
 
-The serving stack of PRs 2-7 carries one Python ``Request`` object per
-request through a window-stepped loop — fine at 10^4 requests, hopeless at a
-realistic diurnal day (>= 10^6).  This module is the data-layout refactor:
-the hot state lives in parallel numpy columns, the control flow advances
-through a heap of typed events, and the object API survives as thin lazily
-materialized views.
-
-Event taxonomy
-==============
-The :class:`EventCalendar` is an O(log n) priority queue of :class:`Event`
-records ordered by ``(time, push sequence)``.  Five event kinds cover the
-serving control plane:
-
-``ARRIVAL_CHUNK``
-    A contiguous run of sorted arrivals becomes admissible.  The columnar
-    FIFO core never materializes these as heap entries — the sorted arrival
-    column *is* the arrival schedule, and ``bisect`` finds each chunk — but
-    schedulers that interleave admission with other events push them.
-``BATCH_COMPLETION``
-    A dispatched batch finishes and frees its server; iteration-level
-    generation uses the same kind for iteration boundaries.
-``WINDOW_BOUNDARY``
-    A telemetry control window closes: the cluster control plane applies
-    pending faults, consults the autoscaler, and schedules the next
-    boundary (see :meth:`repro.serving.cluster.ClusterEngine.run`).
-``FAULT``
-    An injected fault (crash / slowdown / recovery) from a
-    :class:`~repro.serving.resilience.FaultSchedule` strikes; it is applied
-    at the first window boundary at or after its strike time.
-``SCALE``
-    An elasticity decision (server activation / deactivation) takes effect,
-    e.g. a recovered server re-admitted at the next boundary.
+Carrying one Python ``Request`` object per request through the dispatch
+loop is fine at 10^4 requests and hopeless at a realistic diurnal day
+(>= 10^6).  Here the hot state lives in parallel numpy columns, and the
+object API survives as thin lazily materialized views.
 
 Views vs. copies
 ================
 * :class:`RequestStore` owns the columns (one contiguous ``float64``/
-  integer array per field).  ``store.arrivals`` *is* the engine's arrival
-  array — no copy is taken on ``start()``.
+  integer array per field).  Every :class:`~repro.serving.engine.
+  ServingEngine` session runs on one: a trace or a plain request list is
+  columnarized at ``start()`` (streaming ``submit()`` appends rows), and a
+  :class:`LazyRequests` view hands over its store as is.
+  ``store.arrivals`` *is* the engine's arrival array — no copy is taken.
+  Columns that hold one value for every row (a single model, identity
+  request ids, no priorities/deadlines/generation profiles) stay ``None``.
 * :class:`LazyRequests` is a zero-copy ``Sequence[Request]`` view over a
-  store; indexing materializes a single transient :class:`Request`.
+  store, or over selected rows of it; indexing materializes a single
+  transient :class:`Request`.  ``Batch.requests`` is such a view over the
+  batch's rows, so only executors that read requests pay for them.
 * :class:`BatchLedger` is a columnar ``Sequence[BatchRecord]``: the batch
   arrays are owned, each ``ledger[i]`` materializes one record on demand.
 * Per-request latencies are computed once, vectorized, as
@@ -60,99 +39,26 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ARRIVAL_CHUNK",
-    "BATCH_COMPLETION",
-    "WINDOW_BOUNDARY",
-    "FAULT",
-    "SCALE",
-    "Event",
-    "EventCalendar",
     "RequestStore",
     "LazyRequests",
     "BatchLedger",
     "ColumnarFifoRun",
     "run_fifo_columnar",
     "per_request_latencies",
-    "P2Quantile",
     "ReservoirSample",
 ]
 
-
-# ----------------------------------------------------------------------
-# Event calendar
-# ----------------------------------------------------------------------
-ARRIVAL_CHUNK = "arrival_chunk"
-BATCH_COMPLETION = "batch_completion"
-WINDOW_BOUNDARY = "window_boundary"
-FAULT = "fault"
-SCALE = "scale"
 
 # Request status column values.
 PENDING = 0
 SERVED = 1
 DROPPED = 2
-
-
-@dataclass(frozen=True)
-class Event:
-    """One typed point on the simulation timeline."""
-
-    time: float
-    kind: str
-    payload: Any = None
-
-
-class EventCalendar:
-    """Min-heap of events ordered by ``(time, push sequence)``.
-
-    Push/pop are O(log n); peeking the next due time is O(1).  Ties break
-    by push order, so a producer that pushes an already-sorted schedule
-    (e.g. a :class:`~repro.serving.resilience.FaultSchedule`) gets its
-    events back in exactly that order.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
-        self._seq = 0
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (float(event.time), self._seq, event))
-        self._seq += 1
-
-    def schedule(self, time: float, kind: str, payload: Any = None) -> None:
-        """Convenience: build and push an :class:`Event`."""
-        self.push(Event(time=float(time), kind=kind, payload=payload))
-
-    def peek(self) -> Optional[Event]:
-        return self._heap[0][2] if self._heap else None
-
-    def peek_time(self) -> float:
-        """Time of the next event (``inf`` when the calendar is empty)."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)[2]
-
-    def pop_due(self, time: float) -> List[Event]:
-        """Pop every event with ``event.time <= time``, in calendar order."""
-        due: List[Event] = []
-        while self._heap and self._heap[0][0] <= time:
-            due.append(self.pop())
-        return due
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 # ----------------------------------------------------------------------
@@ -172,14 +78,18 @@ class RequestStore:
 
     One contiguous array per field; :class:`Request` objects exist only as
     transient views built by :meth:`request`.  ``arrivals`` must be sorted
-    ascending (both constructors guarantee it) — the engine's admission
-    arithmetic bisects it directly, zero-copy.
+    ascending for the engine to admit from it directly (both constructors
+    guarantee it; rows added by :meth:`append` for streaming admission
+    follow in append order and are merged by the engine).
 
-    ``deadlines`` uses ``nan`` as the "no deadline" sentinel so the column
-    stays a dense ``float64`` array; :meth:`request` converts back to
-    ``None`` at the view boundary.  ``status`` tracks request outcomes
-    (``PENDING`` / ``SERVED`` / ``DROPPED``) and is maintained by the
-    columnar fast core; the legacy object loop leaves it ``PENDING``.
+    A column holding one value for every row is ``None``: ``model_ids``
+    (every row targets ``model_names[0]``), ``request_ids`` (each row's id
+    is its index), ``priorities`` (0), ``deadlines`` (none) and the
+    generation profile (0).  ``deadlines`` uses ``nan`` as the "no
+    deadline" sentinel so the column stays a dense ``float64`` array;
+    :meth:`deadline` converts back to ``None`` at the view boundary.
+    ``status`` tracks request outcomes (``PENDING`` / ``SERVED`` /
+    ``DROPPED``) and is maintained by the engine.
     """
 
     __slots__ = (
@@ -212,34 +122,14 @@ class RequestStore:
         self.arrivals = np.asarray(arrivals, dtype=np.float64)
         n = len(self.arrivals)
         self.model_names = list(model_names)
-        if not self.model_names:
+        if n and not self.model_names:
             raise ValueError("model_names must name at least one model")
-        self.model_ids = (
-            np.zeros(n, dtype=np.int32)
-            if model_ids is None
-            else np.asarray(model_ids, dtype=np.int32)
-        )
-        self.request_ids = (
-            np.arange(n, dtype=np.int64)
-            if request_ids is None
-            else np.asarray(request_ids, dtype=np.int64)
-        )
-        self.priorities = (
-            None if priorities is None else np.asarray(priorities, dtype=np.int64)
-        )
-        self.deadlines = (
-            None if deadlines is None else np.asarray(deadlines, dtype=np.float64)
-        )
-        self.prefill_tokens = (
-            None
-            if prefill_tokens is None
-            else np.asarray(prefill_tokens, dtype=np.int64)
-        )
-        self.max_new_tokens = (
-            None
-            if max_new_tokens is None
-            else np.asarray(max_new_tokens, dtype=np.int64)
-        )
+        self.model_ids = _column(model_ids, np.int32)
+        self.request_ids = _column(request_ids, np.int64)
+        self.priorities = _column(priorities, np.int64)
+        self.deadlines = _column(deadlines, np.float64)
+        self.prefill_tokens = _column(prefill_tokens, np.int64)
+        self.max_new_tokens = _column(max_new_tokens, np.int64)
         self.status = np.full(n, PENDING, dtype=np.int8)
         # Payloads: a round-robin pool (trace convention, request i gets
         # pool[i % len(pool)]) or a full per-request list — never both.
@@ -314,39 +204,59 @@ class RequestStore:
     def from_requests(cls, requests: Sequence) -> "RequestStore":
         """Columnarize explicit :class:`Request` objects (arrival-sorted)."""
         order = sorted(range(len(requests)), key=lambda i: requests[i].arrival_time)
-        ordered = [requests[i] for i in order]
-        names: List[str] = []
-        name_ids: Dict[str, int] = {}
-        model_ids = np.empty(len(ordered), dtype=np.int32)
-        for i, request in enumerate(ordered):
-            model_id = name_ids.get(request.model)
-            if model_id is None:
-                model_id = name_ids[request.model] = len(names)
-                names.append(request.model)
-            model_ids[i] = model_id
-        payload_list = None
-        if any(request.payload is not None for request in ordered):
-            payload_list = [request.payload for request in ordered]
-        return cls(
-            np.asarray([r.arrival_time for r in ordered], dtype=np.float64),
-            model_names=names,
-            model_ids=model_ids,
-            request_ids=np.asarray(
-                [r.request_id for r in ordered], dtype=np.int64
-            ),
-            priorities=np.asarray([r.priority for r in ordered], dtype=np.int64),
-            deadlines=np.asarray(
-                [np.nan if r.deadline is None else float(r.deadline) for r in ordered],
-                dtype=np.float64,
-            ),
-            prefill_tokens=np.asarray(
-                [r.prefill_tokens for r in ordered], dtype=np.int64
-            ),
-            max_new_tokens=np.asarray(
-                [r.max_new_tokens for r in ordered], dtype=np.int64
-            ),
-            payload_list=payload_list,
+        store = cls(np.zeros(0), [])
+        store.append([requests[i] for i in order])
+        return store
+
+    def append(self, requests: Sequence) -> None:
+        """Append one row per :class:`Request`, in the given order.
+
+        A request's ``request_id`` below 0 means its row index.  Columns
+        stay ``None`` while every row holds the default value and
+        materialize the first time an appended row does not.
+        """
+        if self.payload_pool is not None:
+            raise ValueError("a store with a round-robin payload pool cannot grow")
+        n = len(self)
+        names = {name: index for index, name in enumerate(self.model_names)}
+        for request in requests:
+            if request.model not in names:
+                names[request.model] = len(self.model_names)
+                self.model_names.append(request.model)
+        self.arrivals = np.concatenate(
+            [self.arrivals, [float(r.arrival_time) for r in requests]]
         )
+        self.status = np.concatenate(
+            [self.status, np.full(len(requests), PENDING, dtype=np.int8)]
+        )
+        self.model_ids = _extend(
+            self.model_ids, n, [names[r.model] for r in requests], 0, np.int32
+        )
+        self.priorities = _extend(
+            self.priorities, n, [r.priority for r in requests], 0, np.int64
+        )
+        self.deadlines = _extend(
+            self.deadlines, n,
+            [np.nan if r.deadline is None else r.deadline for r in requests],
+            np.nan, np.float64,
+        )
+        self.prefill_tokens = _extend(
+            self.prefill_tokens, n, [r.prefill_tokens for r in requests], 0, np.int64
+        )
+        self.max_new_tokens = _extend(
+            self.max_new_tokens, n, [r.max_new_tokens for r in requests], 0, np.int64
+        )
+        rows = np.arange(n, len(self), dtype=np.int64)
+        ids = np.asarray([r.request_id for r in requests], dtype=np.int64)
+        ids = np.where(ids >= 0, ids, rows)
+        if self.request_ids is not None or not np.array_equal(ids, rows):
+            previous = np.arange(n) if self.request_ids is None else self.request_ids
+            self.request_ids = np.concatenate([previous, ids])
+        payloads = [r.payload for r in requests]
+        if self.payload_list is None and any(p is not None for p in payloads):
+            self.payload_list = [None] * n
+        if self.payload_list is not None:
+            self.payload_list.extend(payloads)
 
     # -- column access --------------------------------------------------
     def __len__(self) -> int:
@@ -360,27 +270,34 @@ class RequestStore:
         return None
 
     def model_name(self, i: int) -> str:
-        return self.model_names[int(self.model_ids[i])]
+        if self.model_ids is None:
+            return self.model_names[0]
+        return self.model_names[self.model_ids[i]]
 
     def model_mask(self, name: str) -> np.ndarray:
         """Boolean mask of requests targeting ``name`` (vectorized)."""
-        try:
-            model_id = self.model_names.index(name)
-        except ValueError:
+        if name not in self.model_names:
             return np.zeros(len(self), dtype=bool)
-        if len(self.model_names) == 1:
+        if self.model_ids is None:
             return np.ones(len(self), dtype=bool)
-        return self.model_ids == model_id
+        return self.model_ids == self.model_names.index(name)
 
     def model_name_list(self) -> List[str]:
         """Per-request model names (materializes one list of shared strings)."""
+        if self.model_ids is None:
+            return self.model_names[:1] * len(self)
         return [self.model_names[model_id] for model_id in self.model_ids.tolist()]
 
-    def deadline_flags(self) -> Optional[np.ndarray]:
-        """Boolean mask of deadline-carrying requests (None when no column)."""
-        if self.deadlines is None:
+    def request_id(self, i: int) -> int:
+        return int(i) if self.request_ids is None else int(self.request_ids[i])
+
+    def priority(self, i: int) -> int:
+        return 0 if self.priorities is None else int(self.priorities[i])
+
+    def deadline(self, i: int) -> Optional[float]:
+        if self.deadlines is None or np.isnan(self.deadlines[i]):
             return None
-        return ~np.isnan(self.deadlines)
+        return float(self.deadlines[i])
 
     def payload(self, i: int):
         if self.payload_pool is not None:
@@ -395,18 +312,13 @@ class RequestStore:
         from repro.serving.engine import Request
 
         i = int(i)
-        deadline = None
-        if self.deadlines is not None:
-            value = self.deadlines[i]
-            if not np.isnan(value):
-                deadline = float(value)
         return Request(
             arrival_time=float(self.arrivals[i]),
-            model=self.model_names[int(self.model_ids[i])],
-            request_id=int(self.request_ids[i]),
+            model=self.model_name(i),
+            request_id=self.request_id(i),
             payload=self.payload(i),
-            priority=int(self.priorities[i]) if self.priorities is not None else 0,
-            deadline=deadline,
+            priority=self.priority(i),
+            deadline=self.deadline(i),
             prefill_tokens=(
                 int(self.prefill_tokens[i]) if self.prefill_tokens is not None else 0
             ),
@@ -416,33 +328,54 @@ class RequestStore:
         )
 
 
+def _column(values, dtype) -> Optional[np.ndarray]:
+    return None if values is None else np.asarray(values, dtype=dtype)
+
+
+def _extend(column, n: int, values, default, dtype) -> Optional[np.ndarray]:
+    """``column`` (``None`` = ``n`` rows of ``default``) extended by ``values``.
+
+    Stays ``None`` while every value equals ``default`` (``nan`` included).
+    """
+    new = np.asarray(values, dtype=dtype)
+    if column is None:
+        at_default = np.isnan(new) if np.isnan(default) else new == default
+        if at_default.all():
+            return None
+        column = np.full(n, default, dtype=dtype)
+    return np.concatenate([column, new])
+
+
 class LazyRequests(_SequenceABC):
     """Zero-copy ``Sequence[Request]`` view over a :class:`RequestStore`.
 
-    Rows are arrival-sorted (the store invariant), so the engine skips the
-    admission re-sort and aliases ``store.arrivals`` directly.  Indexing
-    materializes one transient :class:`~repro.serving.engine.Request`;
-    nothing holds the views alive, so peak RSS stays O(columns) instead of
-    O(requests x object overhead).
+    Without ``rows`` the view spans the whole store: rows are
+    arrival-sorted (the store invariant), so the engine skips the
+    admission re-sort and aliases ``store.arrivals`` directly.  With
+    ``rows`` (an index array) it spans just those rows, in that order —
+    the engine's ``Batch.requests``.  Indexing materializes one transient
+    :class:`~repro.serving.engine.Request`; nothing holds the views alive,
+    so peak RSS stays O(columns) instead of O(requests x object overhead).
     """
 
-    __slots__ = ("store",)
+    __slots__ = ("store", "rows")
 
-    def __init__(self, store: RequestStore) -> None:
+    def __init__(self, store: RequestStore, rows: Optional[np.ndarray] = None) -> None:
         self.store = store
+        self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self.store) if self.rows is None else len(self.rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self.store.request(i) for i in range(*index.indices(len(self)))]
+            return [self[i] for i in range(*index.indices(len(self)))]
         i = int(index)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return self.store.request(i)
+        return self.store.request(i if self.rows is None else self.rows[i])
 
 
 # ----------------------------------------------------------------------
@@ -745,113 +678,6 @@ def per_request_latencies(
 # ----------------------------------------------------------------------
 # Streaming percentile estimators
 # ----------------------------------------------------------------------
-class P2Quantile:
-    """Jain & Chlamtac's P-squared streaming quantile estimator.
-
-    Tracks one quantile in O(1) memory (five markers) and O(1) per
-    observation — the telemetry-side alternative to buffering a window's
-    raw latency list.  Exact for the first five observations; afterwards
-    the parabolic marker update gives a few-percent estimate on smooth
-    distributions.
-    """
-
-    __slots__ = ("q", "_initial", "_heights", "_positions", "_desired",
-                 "_increments", "_count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = float(q)
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        q = self.q
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self._count += 1
-        if self._heights:
-            self._update(value)
-            return
-        bisect.insort(self._initial, value)
-        if len(self._initial) == 5:
-            self._heights = list(self._initial)
-            self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]
-            q = self.q
-            self._desired = [0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
-
-    def extend(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    def _update(self, x: float) -> None:
-        h = self._heights
-        n = self._positions
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        elif x < h[1]:
-            k = 0
-        elif x < h[2]:
-            k = 1
-        elif x < h[3]:
-            k = 2
-        else:
-            k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        desired = self._desired
-        increments = self._increments
-        for i in range(5):
-            desired[i] += increments[i]
-        for i in (1, 2, 3):
-            delta = desired[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if delta >= 0.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (``nan`` before any observation)."""
-        if self._heights:
-            return self._heights[2]
-        if not self._initial:
-            return float("nan")
-        return float(
-            np.percentile(np.asarray(self._initial, dtype=np.float64), self.q * 100.0)
-        )
-
-
 class ReservoirSample:
     """Fixed-capacity uniform reservoir (Vitter's algorithm R), vectorized.
 

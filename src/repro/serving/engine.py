@@ -44,6 +44,14 @@ Admission is incremental: :meth:`ServingEngine.start` opens a session,
 :class:`EngineResult`.  :meth:`ServingEngine.run` is a thin batch driver
 over exactly that lifecycle.
 
+Whatever the entry point, a session holds its requests in one columnar
+:class:`~repro.serving.core.RequestStore`: a trace or a request list is
+columnarized at ``start()``, a :class:`~repro.serving.core.LazyRequests`
+view brings its own store, and ``submit()`` appends rows.  Scheduler keys,
+deadlines, responses and migrants all read its columns, and
+:attr:`Batch.requests` is a lazy view over the batch's rows, so only an
+executor that reads requests materializes :class:`Request` objects.
+
 Several models can be registered on one engine (multi-model serving on
 shared accelerators): each request names its model, batches are formed from
 same-model requests in scheduler order, and every model keeps its own
@@ -207,10 +215,13 @@ class Response:
 class Batch:
     """One batch handed to an :class:`Executor`.
 
-    ``requests`` is populated when the engine was given explicit
-    :class:`Request` objects (so executors can read payloads); trace-driven
-    runs pass only the size, which is all modeled execution needs.
-    ``server`` is the accelerator the batch runs on (0-based).
+    ``indices`` are the batch's rows in the session's
+    :class:`~repro.serving.core.RequestStore`.  The engine sets
+    ``requests`` to a :class:`~repro.serving.core.LazyRequests` view over
+    those rows: indexing it materializes one :class:`Request` (so real
+    executors can read payloads), while modeled execution reads only
+    ``size`` and never pays for a view.  ``server`` is the accelerator the
+    batch runs on (0-based).
     """
 
     model: str
@@ -511,26 +522,18 @@ class _Session:
     def __init__(
         self,
         num_servers: int,
-        slot_arrivals: np.ndarray,
-        request_objs: Optional[List[Request]],
-        single_model: Optional[str],
-        trace: Optional[RequestTrace],
+        store: RequestStore,
+        fixed: bool,
         duration: Optional[float],
         record_responses: bool,
         fifo: bool,
     ) -> None:
-        num_requests = len(slot_arrivals)
-        self.slot_arrivals = slot_arrivals
-        self.request_objs = request_objs
-        # Columnar backing store when request_objs is a LazyRequests view
-        # (store-backed sessions read metadata from columns, not objects).
-        self.store = getattr(request_objs, "store", None)
-        # The model of every request so far (None when mixed); submit()
-        # clears it when a request for another model streams in.
-        self.single_model = single_model
-        self.trace = trace
+        num_requests = len(store)
+        # Every request's metadata, one row per slot; submit() appends rows
+        # unless the session is ``fixed`` (trace and LazyRequests sessions).
+        self.store = store
+        self.fixed = fixed
         self.duration = duration
-        self.record_responses = record_responses
         self.latencies = np.zeros(num_requests, dtype=np.float64)
         self.responses: Optional[List[Optional[Response]]] = (
             [None] * num_requests if record_responses else None
@@ -564,7 +567,7 @@ class _Session:
         # ready key): positions >= ``pos`` are not yet admitted to the
         # queue.  ``pend_slots[p]`` maps a pending position back to the
         # stable per-request slot index.
-        self.pend_arrivals = slot_arrivals
+        self.pend_arrivals = store.arrivals
         self.pend_slots = np.arange(num_requests, dtype=np.intp)
         self.pos = 0
         # Admitted-but-unserved requests, ordered by (scheduler key, pend
@@ -586,24 +589,16 @@ class _Session:
         self.arrival_heap: List[Tuple[float, int]] = []
         self.queued_slots: set = set()
 
-    def model_name(self, slot: int) -> str:
-        """Model of one slot, without materializing a store-backed Request."""
-        if self.single_model is not None:
-            return self.single_model
-        if self.store is not None:
-            return self.store.model_name(int(slot))
-        return self.request_objs[int(slot)].model
-
 
 class ServingEngine:
     """Discrete-event serving engine for ``num_servers`` shared accelerators.
 
     Register one endpoint per model with :meth:`register`, then either
-    :meth:`run` a :class:`~repro.data.traces.RequestTrace` (single-model,
-    modeled runs — no per-request objects are materialized, keeping
-    million-request sweeps cheap) or an explicit list of :class:`Request`
-    objects (multi-model, scheduler-aware and real execution) — or drive the
-    engine incrementally::
+    :meth:`run` a :class:`~repro.data.traces.RequestTrace` (single-model
+    FIFO runs), an explicit list of :class:`Request` objects (multi-model,
+    scheduler-aware and real execution) or a
+    :class:`~repro.serving.core.LazyRequests` view — or drive the engine
+    incrementally::
 
         engine.start()                  # open a streaming session
         engine.submit(first_requests)   # admission while the engine runs
@@ -611,10 +606,16 @@ class ServingEngine:
         engine.submit(more_requests)
         result = engine.finish()        # drain the queue, close the session
 
+    Every session keeps its requests in one columnar
+    :class:`~repro.serving.core.RequestStore`, whatever the entry point: a
+    trace or a request list is columnarized at :meth:`start`, a
+    ``LazyRequests`` view brings its own store, and :meth:`submit` appends
+    rows.  No :class:`Request` objects live in the session, keeping
+    million-request sweeps cheap.
+
     ``scheduler`` selects the queue discipline (default FIFO); non-FIFO
     schedulers read per-request ``priority``/``deadline`` fields and
-    therefore require explicit request lists (see
-    :func:`requests_from_trace`).
+    therefore require explicit requests (see :func:`requests_from_trace`).
     """
 
     def __init__(
@@ -770,83 +771,47 @@ class ServingEngine:
                 model = next(iter(self._endpoints))
             if model not in self._endpoints:
                 raise KeyError(f"model {model!r} is not registered")
-            if hasattr(trace, "sorted_arrivals"):
-                # Sorted once per (trace, arrival array) and cached on the
-                # trace — repeated runs over a million-request trace stop
-                # paying an O(n log n) re-sort per entry.
-                arrivals = trace.sorted_arrivals()
-            else:
-                arrivals = np.sort(
-                    np.asarray(trace.arrival_times, dtype=np.float64)
-                )
-            request_objs: Optional[Sequence[Request]] = None
-            single_model: Optional[str] = model
+            # The trace caches its sorted arrivals, so repeated runs over a
+            # million-request trace pay the O(n log n) sort once.
+            store = RequestStore.from_trace(trace, model)
+            fixed = True
             run_duration = trace.duration if duration is None else float(duration)
         else:
-            if requests is None:
-                requests = []
             if model is not None and model not in self._endpoints:
                 raise KeyError(f"model {model!r} is not registered")
-            store = getattr(requests, "store", None)
-            if store is not None:
-                # Store-backed lazy view (LazyRequests): rows are already
-                # arrival-sorted, so alias the arrival column directly —
-                # no object walk, no sort, no copies.
-                request_objs = requests
-                for name in store.model_names:
-                    if name not in self._endpoints:
-                        raise KeyError(f"model {name!r} is not registered")
-                    if model is not None and name != model:
-                        raise ValueError(
-                            f"model={model!r} conflicts with a request for "
-                            f"{name!r}; omit model= for multi-model "
-                            "request lists"
-                        )
-                arrivals = store.arrivals
-                single_model = store.single_model
+            if isinstance(requests, LazyRequests) and requests.rows is None:
+                # Its rows are already arrival-sorted: the session aliases
+                # the store's columns — no object walk, no sort, no copies.
+                store, fixed = requests.store, True
             else:
-                order = sorted(
-                    range(len(requests)), key=lambda i: requests[i].arrival_time
-                )
-                request_objs = [requests[i] for i in order]
-                for request in request_objs:
-                    if request.model not in self._endpoints:
-                        raise KeyError(
-                            f"model {request.model!r} is not registered"
-                        )
-                    if model is not None and request.model != model:
-                        raise ValueError(
-                            f"model={model!r} conflicts with a request for "
-                            f"{request.model!r}; omit model= for multi-model "
-                            "request lists"
-                        )
-                arrivals = np.asarray(
-                    [request.arrival_time for request in request_objs],
-                    dtype=np.float64,
-                )
-                models_present = {request.model for request in request_objs}
-                single_model = (
-                    models_present.pop() if len(models_present) == 1 else None
-                )
+                store = RequestStore.from_requests([] if requests is None else requests)
+                fixed = False
+            for name in store.model_names:
+                if name not in self._endpoints:
+                    raise KeyError(f"model {name!r} is not registered")
+                if model is not None and name != model:
+                    raise ValueError(
+                        f"model={model!r} conflicts with a request for "
+                        f"{name!r}; omit model= for multi-model request lists"
+                    )
             # Without an explicit duration the run spans until the last batch
             # finishes (makespan, filled in by finish()); policies windowing
             # over admissions see the arrival horizon.
             run_duration = float(duration) if duration is not None else None
 
+        arrivals = store.arrivals
         _require_finite(arrivals)
         if record_responses is None:
-            record_responses = request_objs is not None
+            record_responses = trace is None
 
         policy_horizon = run_duration
         if policy_horizon is None:
             policy_horizon = float(arrivals[-1]) if len(arrivals) else 0.0
-        self._start_policies(arrivals, request_objs, single_model, trace, policy_horizon)
+        self._start_policies(store, trace, policy_horizon)
         self._session = _Session(
             self.num_servers,
-            arrivals,
-            request_objs,
-            single_model,
-            trace,
+            store,
+            fixed,
             run_duration,
             record_responses,
             self._fifo,
@@ -860,15 +825,11 @@ class ServingEngine:
         current simulated time is simply served at the next opportunity.
         """
         session = self._require_session()
-        if session.request_objs is None:
+        if session.fixed:
             raise RuntimeError(
-                "trace sessions are fixed at start(); open a request session "
-                "(start() or start(requests=...)) for streaming admission"
-            )
-        if session.store is not None:
-            raise RuntimeError(
-                "store-backed sessions (LazyRequests) are fixed at start(); "
-                "open a plain request-list session for streaming admission"
+                "trace and store-backed (LazyRequests) sessions are fixed at "
+                "start(); open a request-list session (start() or "
+                "start(requests=...)) for streaming admission"
             )
         if isinstance(requests, Request):
             requests = [requests]
@@ -880,11 +841,8 @@ class ServingEngine:
                 raise KeyError(f"model {request.model!r} is not registered")
         new_arrivals = np.asarray([r.arrival_time for r in new], dtype=np.float64)
         _require_finite(new_arrivals)
-        if any(request.model != session.single_model for request in new):
-            session.single_model = None
-        first_slot = len(session.request_objs)
-        session.request_objs.extend(new)
-        session.slot_arrivals = np.concatenate([session.slot_arrivals, new_arrivals])
+        first_slot = len(session.store)
+        session.store.append(new)
         session.latencies = np.concatenate(
             [session.latencies, np.zeros(len(new), dtype=np.float64)]
         )
@@ -1054,7 +1012,7 @@ class ServingEngine:
                         f"got {fraction!r}"
                     )
                 if fraction > 0.0:
-                    restore = getattr(checkpoint, "restore_seconds", None)
+                    price = getattr(checkpoint, "restore_seconds", None)
                     for slot in slots:
                         slot = int(slot)
                         done = s.checkpoints.get(slot, 0.0)
@@ -1062,13 +1020,13 @@ class ServingEngine:
                         # resumed from `done`, so the new checkpoints cover
                         # a fraction of the *residual* work only.
                         s.checkpoints[slot] = done + (1.0 - done) * fraction
-                        if restore is not None:
+                        if price is not None:
                             # Restoring this checkpoint on another server is
                             # not free: the resuming batch pays the transfer
                             # (see _execute).  Re-priced on re-migration —
                             # only the latest checkpoint is ever restored.
                             s.transfer_costs[slot] = float(
-                                restore(s.checkpoints[slot])
+                                price(s.checkpoints[slot])
                             )
             if self.telemetry is not None:
                 deadline_total, deadline_met = self._deadline_counts(
@@ -1076,7 +1034,7 @@ class ServingEngine:
                 )
                 self.telemetry.unrecord_batch(
                     record,
-                    latencies=record.finish - s.slot_arrivals[slots],
+                    latencies=record.finish - s.store.arrivals[slots],
                     deadline_total=deadline_total,
                     deadline_met=deadline_met,
                     kill_time=time,
@@ -1086,8 +1044,7 @@ class ServingEngine:
             for slot in slots:
                 slot = int(slot)
                 s.latencies[slot] = 0.0
-                if s.store is not None:
-                    s.store.status[slot] = PENDING
+                s.store.status[slot] = PENDING
                 if s.responses is not None:
                     s.responses[slot] = None
                 migrant_slots.append(slot)
@@ -1114,15 +1071,9 @@ class ServingEngine:
         migrants = [
             Migrant(
                 slot=slot,
-                arrival=float(s.slot_arrivals[slot]),
-                deadline=(
-                    s.request_objs[slot].deadline
-                    if s.request_objs is not None
-                    else None
-                ),
-                request=(
-                    s.request_objs[slot] if s.request_objs is not None else None
-                ),
+                arrival=float(s.store.arrivals[slot]),
+                deadline=s.store.deadline(slot),
+                request=s.store.request(slot),
                 migrations=s.migrations.get(slot, 0),
                 progress=s.checkpoints.get(slot, 0.0),
             )
@@ -1178,22 +1129,13 @@ class ServingEngine:
         and, on preemption, un-records: both must count identically or a
         rewound batch would leave phantom attainment in its window.
         """
-        total = met = 0
-        if s.store is not None:
-            column = s.store.deadlines
-            if column is not None:
-                batch = column[np.asarray(slots, dtype=np.int64)]
-                carrying = ~np.isnan(batch)
-                total = int(np.count_nonzero(carrying))
-                if total:
-                    met = int(np.count_nonzero(finish <= batch[carrying]))
-        elif s.request_objs is not None:
-            for slot in slots:
-                deadline = s.request_objs[int(slot)].deadline
-                if deadline is not None:
-                    total += 1
-                    if finish <= deadline:
-                        met += 1
+        column = s.store.deadlines
+        if column is None:
+            return 0, 0
+        batch = column[slots]
+        carrying = ~np.isnan(batch)
+        total = int(np.count_nonzero(carrying))
+        met = int(np.count_nonzero(finish <= batch[carrying])) if total else 0
         return total, met
 
     @staticmethod
@@ -1203,22 +1145,8 @@ class ServingEngine:
         Only materialized when a tracer wants deadline-forced sampling —
         the common traced path (sample_rate=1.0) never pays for it.
         """
-        if s.store is not None:
-            column = s.store.deadlines
-            if column is None:
-                return None
-            return column[np.asarray(slots, dtype=np.int64)]
-        if s.request_objs is not None:
-            return np.asarray(
-                [
-                    float("nan")
-                    if s.request_objs[int(slot)].deadline is None
-                    else float(s.request_objs[int(slot)].deadline)
-                    for slot in slots
-                ],
-                dtype=np.float64,
-            )
-        return None
+        column = s.store.deadlines
+        return None if column is None else column[slots]
 
     @staticmethod
     def _merge_pending(s: _Session, keys: np.ndarray, slots: np.ndarray) -> None:
@@ -1259,27 +1187,18 @@ class ServingEngine:
         return server
 
     def _start_policies(
-        self,
-        arrivals: np.ndarray,
-        request_objs: Optional[List[Request]],
-        single_model: Optional[str],
-        trace: Optional[RequestTrace],
-        duration: float,
+        self, store: RequestStore, trace: Optional[RequestTrace], duration: float
     ) -> None:
-        """Show every involved policy its model's admitted trace."""
+        """Show every involved policy its model's admitted trace.
+
+        A trace run's policy sees the caller's own trace object.
+        """
+        arrivals = store.arrivals
         for name, endpoint in self._endpoints.items():
-            if single_model is not None:
-                if name != single_model:
-                    continue
+            if name == store.single_model:
                 sub = trace if trace is not None else RequestTrace(arrivals, duration)
             else:
-                store = getattr(request_objs, "store", None)
-                if store is not None:
-                    mask = store.model_mask(name)
-                else:
-                    mask = np.asarray(
-                        [r.model == name for r in request_objs], dtype=bool
-                    )
+                mask = store.model_mask(name)
                 if not mask.any():
                     continue
                 sub = RequestTrace(arrivals[mask], duration)
@@ -1296,9 +1215,9 @@ class ServingEngine:
         slower).  Eligible: a columnar-enabled engine, FIFO discipline with
         the seed argmin-free-clock dispatch, an untouched single-model
         session (no steps taken, no queue, no checkpoints, no response
-        recording) whose requests come from a trace or a store-backed view
-        (plain object lists may still stream more via submit()), served by
-        stateless modeled executors under a fixed-ratio policy.
+        recording) fixed at start (a trace or a LazyRequests view; request
+        lists may still stream more via submit()), served by stateless
+        modeled executors under a fixed-ratio policy.
         """
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
@@ -1311,11 +1230,9 @@ class ServingEngine:
             return False
         if s.responses is not None or s.checkpoints or s.transfer_costs:
             return False
-        if len(s.pend_arrivals) == 0 or not s.active:
+        if len(s.pend_arrivals) == 0 or not s.active or not s.fixed:
             return False
-        if s.request_objs is not None and s.store is None:
-            return False
-        model = s.store.single_model if s.store is not None else s.single_model
+        model = s.store.single_model
         if model is None:
             return False
         endpoint = self._endpoints.get(model)
@@ -1340,7 +1257,7 @@ class ServingEngine:
         server clocks — and bulk-ingests telemetry.  Bit-identical to
         stepping the object loop over the same session.
         """
-        model = s.store.single_model if s.store is not None else s.single_model
+        model = s.store.single_model
         endpoint = self._endpoints[model]
         arrivals = s.pend_arrivals
         num_requests = len(arrivals)
@@ -1382,22 +1299,17 @@ class ServingEngine:
             run.servers, run.queue_depths,
         )
         s.pos = num_requests
-        if s.store is not None:
-            status = s.store.status
-            status[:num_requests] = SERVED
-            for lo, hi in zip(run.drop_los.tolist(), run.drop_his.tolist()):
-                status[lo:hi] = DROPPED
+        status = s.store.status
+        status[:num_requests] = SERVED
+        for lo, hi in zip(run.drop_los.tolist(), run.drop_his.tolist()):
+            status[lo:hi] = DROPPED
         if self.tracer is not None:
             # Bulk span ingestion mirrors the object loop's spans; the
             # position axis is the slot axis on an untouched session.
             self.tracer.ingest_columnar(
                 run,
                 arrivals,
-                deadlines=(
-                    (s.store.deadlines if s.store is not None else None)
-                    if self.tracer.wants_deadlines
-                    else None
-                ),
+                deadlines=s.store.deadlines if self.tracer.wants_deadlines else None,
             )
         if self.telemetry is None:
             return
@@ -1415,7 +1327,7 @@ class ServingEngine:
             served_sel = None
             served_latencies = latencies
         deadline_flags = deadline_met = drop_misses = None
-        deadlines = s.store.deadlines if s.store is not None else None
+        deadlines = s.store.deadlines
         if deadlines is not None:
             flags_all = ~np.isnan(deadlines)
             # nan on either side compares False: dropped requests never
@@ -1477,8 +1389,8 @@ class ServingEngine:
                     s.pend_arrivals, earliest, s.pos, s.pos + min(pending, max_batch)
                 ) - s.pos
                 server = self._select_server(
-                    s, head_time, s.model_name(head_slot), len(s.queue) + pending,
-                    arrived,
+                    s, head_time, s.store.model_name(head_slot),
+                    len(s.queue) + pending, arrived,
                 )
                 start = max(s.free_at[server], head_time)
             else:
@@ -1498,7 +1410,7 @@ class ServingEngine:
             if drop_after is not None and self._expire_queued(s, start, drop_after):
                 continue
 
-            head_model = s.model_name(s.queue[0][3])
+            head_model = s.store.model_name(s.queue[0][3])
             if not fifo:
                 # The queue head is now final: place the batch's server.  A
                 # placer may pick a later-free server, whose service then
@@ -1525,9 +1437,9 @@ class ServingEngine:
                 # out of this batch's queue depth): they follow every entry
                 # arrived by the start in queue order.
                 queue_depth = self._queued_by(s, start)
-                mixed = s.single_model is None
+                mixed = s.store.single_model is None
                 for _ in range(min(max_batch, queue_depth)):
-                    if mixed and s.model_name(s.queue[0][3]) != head_model:
+                    if mixed and s.store.model_name(s.queue[0][3]) != head_model:
                         break
                     batch_entries.append(s.queue.popleft())
                 self._fifo_served(s, len(batch_entries))
@@ -1538,7 +1450,7 @@ class ServingEngine:
                 stash: List[Tuple[Tuple, float, int, int]] = []
                 while s.queue and len(batch_entries) < max_batch:
                     entry = heapq.heappop(s.queue)
-                    if s.model_name(entry[3]) == head_model:
+                    if s.store.model_name(entry[3]) == head_model:
                         batch_entries.append(entry)
                     else:
                         stash.append(entry)
@@ -1582,12 +1494,9 @@ class ServingEngine:
                     bisect.insort(s.queue, entry)
                     bisect.insort(s.fifo_keys, entry[1], lo=s.fifo_head)
             return
-        if s.store is not None:
-            # Vectorized key extraction over the columnar store — same key
-            # values as scheduler.key on the object views.
-            keys = store_keys(self.scheduler, s.store, chunk_slots)
-        else:
-            keys = [self.scheduler.key(s.request_objs[slot]) for slot in slots]
+        # Vectorized key extraction over the columnar store — same key values
+        # as scheduler.key on the object views.
+        keys = store_keys(self.scheduler, s.store, chunk_slots)
         # Equal pend keys break by slot (the original arrival order).
         for key, arrival, slot in zip(keys, arrivals, slots):
             heapq.heappush(s.queue, (key, arrival, slot, slot))
@@ -1679,11 +1588,7 @@ class ServingEngine:
             start_time=start,
             size=batch_size,
             indices=slots,
-            requests=(
-                [s.request_objs[int(slot)] for slot in slots]
-                if s.request_objs is not None
-                else None
-            ),
+            requests=LazyRequests(s.store, slots),
             server=server,
         )
         execution = endpoint.executors[server].execute(batch, endpoint.mode, ratio)
@@ -1720,9 +1625,8 @@ class ServingEngine:
         if execution.ratio is not None:
             ratio = float(execution.ratio)
         finish = start + service_time
-        s.latencies[slots] = finish - s.slot_arrivals[slots]
-        if s.store is not None:
-            s.store.status[slots] = SERVED
+        s.latencies[slots] = finish - s.store.arrivals[slots]
+        s.store.status[slots] = SERVED
         record = BatchRecord(
             head_model, start, finish, batch_size, ratio, endpoint.mode, server,
             queue_depth,
@@ -1734,7 +1638,7 @@ class ServingEngine:
             self.telemetry.record_batch(
                 record,
                 queue_depth=queue_depth,
-                latencies=finish - s.slot_arrivals[slots],
+                latencies=finish - s.store.arrivals[slots],
                 deadline_total=deadline_total,
                 deadline_met=deadline_met,
             )
@@ -1742,7 +1646,7 @@ class ServingEngine:
             self.tracer.on_batch(
                 record,
                 slots,
-                s.slot_arrivals[slots],
+                s.store.arrivals[slots],
                 deadlines=(
                     self._slot_deadlines(s, slots)
                     if self.tracer.wants_deadlines
@@ -1765,31 +1669,24 @@ class ServingEngine:
         """Expire ``slots`` (waited beyond ``drop_after``) at time ``start``."""
         s.dropped += len(slots)
         s.latencies[slots] = np.nan
-        if s.store is not None:
-            s.store.status[slots] = DROPPED
+        s.store.status[slots] = DROPPED
         if s.checkpoints or s.transfer_costs:
             for slot in slots:
                 s.checkpoints.pop(int(slot), None)
                 s.transfer_costs.pop(int(slot), None)
         if self.telemetry is not None:
-            misses = 0
-            if s.store is not None:
-                if s.store.deadlines is not None:
-                    misses = int(np.count_nonzero(
-                        ~np.isnan(s.store.deadlines[np.asarray(slots, dtype=np.int64)])
-                    ))
-            elif s.request_objs is not None:
-                misses = sum(
-                    1 for slot in slots
-                    if s.request_objs[int(slot)].deadline is not None
-                )
+            deadlines = s.store.deadlines
+            misses = (
+                0 if deadlines is None
+                else int(np.count_nonzero(~np.isnan(deadlines[slots])))
+            )
             self.telemetry.record_drops(start, len(slots), deadline_misses=misses)
         if self.tracer is not None:
-            self.tracer.on_drop(slots, s.slot_arrivals[slots], start)
+            self.tracer.on_drop(slots, s.store.arrivals[slots], start)
         if s.responses is not None:
             for slot in slots:
                 slot = int(slot)
-                model = s.model_name(slot)
+                model = s.store.model_name(slot)
                 s.responses[slot] = self._response(
                     s, slot, model, start, float("nan"), 0, float("nan"),
                     mode=self._endpoints[model].mode, dropped=True,
@@ -1803,25 +1700,17 @@ class ServingEngine:
         if duration is None:
             # Makespan: from time zero until the last accelerator went idle
             # (or the last arrival, if everything after it was dropped).
-            last_arrival = float(s.slot_arrivals[-1]) if len(s.slot_arrivals) else 0.0
+            arrivals = s.store.arrivals
+            last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
         valid = s.latencies[~np.isnan(s.latencies)]
-        if s.store is not None:
-            # Columnar sessions answer both questions from the store's
-            # columns without materializing Request views.
-            request_models = s.store.model_name_list()
-            single_model = s.store.single_model
-        elif s.request_objs is not None:
-            request_models = [request.model for request in s.request_objs]
-            models_present = {request.model for request in s.request_objs}
-            single_model = models_present.pop() if len(models_present) == 1 else None
-        else:
-            request_models = None
-            single_model = s.single_model
+        single_model = s.store.single_model
         return EngineResult(
             latencies=valid,
             request_latencies=s.latencies,
-            request_models=request_models,
+            request_models=(
+                None if single_model is not None else s.store.model_name_list()
+            ),
             batch_records=s.records,
             dropped=s.dropped,
             duration=duration,
@@ -1847,19 +1736,11 @@ class ServingEngine:
         output: Any = None,
         server: int = 0,
     ) -> Response:
-        request = s.request_objs[slot] if s.request_objs is not None else None
-        request_id = slot
-        priority = 0
-        deadline = None
-        if request is not None:
-            if request.request_id >= 0:
-                request_id = request.request_id
-            priority = request.priority
-            deadline = request.deadline
+        store = s.store
         return Response(
-            request_id=request_id,
+            request_id=store.request_id(slot),
             model=model,
-            arrival_time=float(s.slot_arrivals[slot]),
+            arrival_time=float(store.arrivals[slot]),
             start_time=start,
             finish_time=finish,
             batch_size=batch_size,
@@ -1867,8 +1748,8 @@ class ServingEngine:
             mode=mode,
             dropped=dropped,
             output=output,
-            priority=priority,
-            deadline=deadline,
+            priority=store.priority(slot),
+            deadline=store.deadline(slot),
             server=server,
             migrations=s.migrations.get(slot, 0),
         )

@@ -56,13 +56,13 @@ removes (see ``examples/continuous_batching.py``).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.data.traces import RequestTrace
-from repro.serving.core import ARRIVAL_CHUNK, EventCalendar
 from repro.serving.engine import Batch, Request
 from repro.serving.metrics import streaming_summary
 from repro.serving.policies import (
@@ -411,15 +411,19 @@ class _GenSession:
     def __init__(self, sequences: List[SequenceState], num_servers: int) -> None:
         self.sequences = sequences
         self.waiting: Set[int] = {seq.slot for seq in sequences}
-        # Ready-ordered view of the waiting set, as ARRIVAL_CHUNK events.
-        # Entries are never removed in place: a slot that joined a batch
-        # (left ``waiting``) or migrated (new ``ready``) leaves its old
-        # entry stale, and readers discard any head entry whose payload no
-        # longer matches the live state (lazy deletion) — so the earliest
-        # ready time is an O(log n) peek instead of a full-queue scan.
-        self.ready_events = EventCalendar()
-        for seq in sequences:
-            self.ready_events.schedule(seq.ready, ARRIVAL_CHUNK, seq.slot)
+        # Ready-ordered view of the waiting set: a heap of (ready, push
+        # index, slot), ties broken by push order.  Entries are never
+        # removed in place: a slot that joined a batch (left ``waiting``) or
+        # migrated (new ``ready``) leaves its old entry stale, and readers
+        # discard any head entry that no longer matches the live state
+        # (lazy deletion) — so the earliest ready time is an O(log n) peek
+        # instead of a full-queue scan.
+        self.ready_events: List[Tuple[float, int, int]] = [
+            (float(seq.ready), index, seq.slot)
+            for index, seq in enumerate(sequences)
+        ]
+        heapq.heapify(self.ready_events)
+        self.ready_pushes = len(sequences)
         self.running: List[List[int]] = [[] for _ in range(num_servers)]
         self.free_at: List[float] = [0.0] * num_servers
         self.busy: List[float] = [0.0] * num_servers
@@ -702,10 +706,14 @@ class IterationScheduler:
         s.running[server] = []
         s.waiting.update(victims)
         for slot in victims:
-            # Fresh calendar entry at the migrant's new ready time; the
+            # Fresh heap entry at the migrant's new ready time; the
             # pre-migration entry (if any) is now stale and will be lazily
             # discarded on peek.
-            s.ready_events.schedule(s.sequences[slot].ready, ARRIVAL_CHUNK, slot)
+            heapq.heappush(
+                s.ready_events,
+                (float(s.sequences[slot].ready), s.ready_pushes, slot),
+            )
+            s.ready_pushes += 1
         if server in s.active:
             s.active.remove(server)
         return GenerationPreemption(iterations=killed, migrated=len(victims))
@@ -725,20 +733,19 @@ class IterationScheduler:
         )
 
     def _min_ready(self, s: _GenSession) -> Optional[float]:
-        """Earliest ready time over the waiting set (calendar peek).
+        """Earliest ready time over the waiting set (heap peek).
 
-        Discards stale calendar heads — slots that joined a batch, or whose
+        Discards stale heap heads — slots that joined a batch, or whose
         migration moved their ready time — until the head matches a live
         waiting sequence.  Amortized O(log n): every entry is discarded at
         most once across the whole run.
         """
-        calendar = s.ready_events
-        while calendar:
-            event = calendar.peek()
-            slot = event.payload
-            if slot in s.waiting and s.sequences[slot].ready == event.time:
-                return event.time
-            calendar.pop()
+        heap = s.ready_events
+        while heap:
+            ready, _, slot = heap[0]
+            if slot in s.waiting and s.sequences[slot].ready == ready:
+                return ready
+            heapq.heappop(heap)
         return None
 
     def _next_server(self, s: _GenSession) -> Optional[Tuple[int, float]]:

@@ -46,9 +46,7 @@ def streaming_percentile(sample, percentile: float) -> float:
     Accepts a latency array/sequence (delegates to
     :func:`latency_percentile`) or a streaming estimator from
     :mod:`repro.serving.core` — anything with a ``percentile(p)`` method
-    (:class:`~repro.serving.core.ReservoirSample`) or a single-quantile
-    ``value`` (:class:`~repro.serving.core.P2Quantile`, which answers only
-    the quantile it tracks and raises on any other).  The telemetry layer
+    (:class:`~repro.serving.core.ReservoirSample`).  The telemetry layer
     stores digests instead of raw latencies when run at
     ``latency_digest="reservoir"`` scale; this helper lets report code
     treat both representations uniformly.
@@ -58,14 +56,6 @@ def streaming_percentile(sample, percentile: float) -> float:
         # Canonical empty-input behaviour, shared with the array path and
         # summarize_latencies: an empty digest answers nan, not an error.
         return float(estimator(percentile))
-    tracked = getattr(sample, "q", None)
-    if tracked is not None and hasattr(sample, "value"):
-        if abs(tracked * 100.0 - float(percentile)) > 1e-9:
-            raise ValueError(
-                f"P2 digest tracks q={tracked:g} "
-                f"(p{tracked * 100:g}), not p{percentile:g}"
-            )
-        return float(sample.value)
     return latency_percentile(sample, percentile)
 
 
@@ -82,17 +72,8 @@ def summarize_latencies(latencies) -> Dict[str, float]:
     models or windows).  For a digest, ``count`` is the number of values
     *observed* (``len(digest)``), which at overflow exceeds the retained
     sample the order statistics are estimated from — the same convention
-    the telemetry layer uses for windowed counts.  A single-quantile
-    digest (:class:`~repro.serving.core.P2Quantile`) cannot produce a
-    full summary and raises ``TypeError``; use ``streaming_percentile``
-    for the one quantile it tracks.
+    the telemetry layer uses for windowed counts.
     """
-    if hasattr(latencies, "q") and hasattr(latencies, "value"):
-        raise TypeError(
-            "summarize_latencies needs a full sample or a multi-quantile "
-            "digest; a P2Quantile tracks a single quantile — use "
-            "streaming_percentile(digest, p) instead"
-        )
     observed = None
     if hasattr(latencies, "percentile") and hasattr(latencies, "values"):
         observed = float(len(latencies))

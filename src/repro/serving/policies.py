@@ -108,13 +108,18 @@ def policy_selector(policy) -> Callable[[PolicyContext], float]:
     return lambda context: select(context.time)
 
 
+def _unit_ratio(field: str, value: float) -> float:
+    """``value`` as a float, or a ``ValueError`` naming ``field`` outside [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{field} must be in [0, 1]; got {value!r}")
+    return float(value)
+
+
 class FixedRatioPolicy:
     """Always run at one 4-bit ratio (the fixed deployments of Figure 8)."""
 
     def __init__(self, ratio: float = 0.0) -> None:
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"ratio must be in [0, 1]; got {ratio!r}")
-        self.ratio = float(ratio)
+        self.ratio = _unit_ratio("ratio", ratio)
 
     def on_run_start(self, trace: RequestTrace) -> None:
         pass
@@ -148,7 +153,7 @@ class RoundRobinRatioPolicy:
     def __init__(self, ratios: Sequence[float]) -> None:
         if not len(ratios):
             raise ValueError("ratios must be non-empty")
-        self.ratios = [float(r) for r in ratios]
+        self.ratios = [_unit_ratio("ratios", r) for r in ratios]
         self._next = 0
 
     def on_run_start(self, trace: RequestTrace) -> None:
@@ -184,9 +189,10 @@ class QueueDepthRatioPolicy:
         if not thresholds:
             raise ValueError("thresholds must be non-empty")
         self.thresholds = sorted(
-            (int(depth), float(ratio)) for depth, ratio in thresholds.items()
+            (int(depth), _unit_ratio("thresholds", ratio))
+            for depth, ratio in thresholds.items()
         )
-        self.base_ratio = float(base_ratio)
+        self.base_ratio = _unit_ratio("base_ratio", base_ratio)
 
     def on_run_start(self, trace: RequestTrace) -> None:
         pass
@@ -228,8 +234,8 @@ class DecodePressureRatioPolicy:
         if pressure_threshold < 1:
             raise ValueError("pressure_threshold must be >= 1 tokens")
         self.pressure_threshold = int(pressure_threshold)
-        self.base_ratio = float(base_ratio)
-        self.high_ratio = float(high_ratio)
+        self.base_ratio = _unit_ratio("base_ratio", base_ratio)
+        self.high_ratio = _unit_ratio("high_ratio", high_ratio)
         self.waiting_weight = float(waiting_weight)
         self.queue_depth_fallback = int(queue_depth_fallback)
         self.switches = 0

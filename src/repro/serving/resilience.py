@@ -263,23 +263,6 @@ class FaultSchedule:
         """Whether any event is domain-scoped (needs :meth:`expand`)."""
         return any(event.kind in DOMAIN_FAULT_KINDS for event in self.events)
 
-    def as_events(self) -> "EventCalendar":
-        """The schedule as a fresh :class:`~repro.serving.core.EventCalendar`.
-
-        One :data:`~repro.serving.core.FAULT` event per schedule entry, the
-        :class:`FaultEvent` as its payload.  Because ``events`` is already
-        ``(time, server, kind)``-sorted and the calendar breaks time ties by
-        insertion order, pops replay the schedule exactly — the calendar is
-        the per-run cursor the class docstring promises, with O(log n)
-        peeks against the control plane's other event sources.
-        """
-        from repro.serving.core import EventCalendar, FAULT
-
-        calendar = EventCalendar()
-        for event in self.events:
-            calendar.schedule(event.time, FAULT, event)
-        return calendar
-
     def expand(self, topology) -> "FaultSchedule":
         """Resolve domain-scoped events into per-server events.
 
@@ -391,9 +374,9 @@ class Migrant:
 
     ``slot`` is the engine's stable admission slot, ``arrival`` the original
     arrival time (latency is always charged from it — migration shows up as
-    response time, never hides), ``deadline``/``request`` carry scheduler
-    metadata when the session has explicit requests (trace sessions migrate
-    too, with ``request=None``), and ``migrations`` counts moves *before*
+    response time, never hides), ``deadline``/``request`` carry its
+    scheduler metadata (``request`` is a view built from the session's
+    request store), and ``migrations`` counts moves *before*
     this preemption.  ``progress`` is the fraction of the request's service
     already completed and checkpointed (0.0 without a
     :class:`CheckpointPolicy`): a migrant with ``progress > 0`` resumes with

@@ -51,7 +51,7 @@ from repro.serving.resilience import (
 )
 from repro.serving.simulator import ServiceTimeModel, ServingSimulator
 from repro.serving.telemetry import ScaleEvent, TelemetryBus
-from repro.serving.core import P2Quantile, ReservoirSample
+from repro.serving.core import ReservoirSample
 
 
 def _engine(tracer=None, columnar=True, num_servers=2, drop_after=None):
@@ -627,8 +627,6 @@ class TestMetricsEdgeCases:
             assert summary["count"] == 0.0
             for key in ("median", "p90", "p99", "mean", "max"):
                 assert np.isnan(summary[key])
-        # Empty P2 digest: nan from streaming_percentile too.
-        assert np.isnan(streaming_percentile(P2Quantile(0.99), 99))
 
     def test_digest_summary_matches_exact_on_small_samples(self):
         values = [0.01, 0.02, 0.03, 0.04, 0.05]
@@ -644,14 +642,3 @@ class TestMetricsEdgeCases:
         summary = summarize_latencies(digest)
         assert summary["count"] == 100.0
         assert len(digest.values) == 4
-
-    def test_p2_digest_summary_is_a_type_error(self):
-        digest = P2Quantile(0.99)
-        digest.add(0.5)
-        with pytest.raises(TypeError):
-            summarize_latencies(digest)
-        # ...but streaming_percentile answers its tracked quantile,
-        assert streaming_percentile(digest, 99) == pytest.approx(0.5)
-        # and refuses any other.
-        with pytest.raises(ValueError):
-            streaming_percentile(digest, 50)

@@ -18,7 +18,12 @@ from repro.serving.placement import (
     PlacementContext,
     WeightedSpeedPlacer,
 )
-from repro.serving.policies import FixedRatioPolicy
+from repro.serving.policies import (
+    DecodePressureRatioPolicy,
+    FixedRatioPolicy,
+    QueueDepthRatioPolicy,
+    RoundRobinRatioPolicy,
+)
 from repro.serving.simulator import ServiceTimeModel
 
 
@@ -97,6 +102,45 @@ class TestFixedRatioPolicy:
     @pytest.mark.parametrize("ratio", [0.0, 0.25, 1.0])
     def test_unit_interval_accepted(self, ratio):
         assert FixedRatioPolicy(ratio).select(0.0) == ratio
+
+
+class TestRatioPolicies:
+    """Every ratio a policy can select lies in [0, 1]; anything else is a
+    ValueError naming the field at construction, not a bad batch later."""
+
+    @pytest.mark.parametrize(
+        "ratios", [[1.5, -0.2], [0.5, 1.5], [-0.2], [0.0, math.nan]]
+    )
+    def test_round_robin_rejects_out_of_range(self, ratios):
+        with pytest.raises(ValueError, match="ratios"):
+            RoundRobinRatioPolicy(ratios)
+
+    @pytest.mark.parametrize("thresholds", [{4: 2.0}, {4: 0.5, 8: -0.1}])
+    def test_queue_depth_rejects_out_of_range_threshold(self, thresholds):
+        with pytest.raises(ValueError, match="thresholds"):
+            QueueDepthRatioPolicy(thresholds)
+
+    @pytest.mark.parametrize("base_ratio", [1.5, -0.5, math.nan])
+    def test_queue_depth_rejects_out_of_range_base(self, base_ratio):
+        with pytest.raises(ValueError, match="base_ratio"):
+            QueueDepthRatioPolicy({4: 0.5}, base_ratio=base_ratio)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base_ratio", -0.5), ("base_ratio", 1.01), ("high_ratio", 3.0),
+         ("high_ratio", math.nan)],
+    )
+    def test_decode_pressure_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DecodePressureRatioPolicy(16, **{field: value})
+
+    def test_unit_interval_boundaries_accepted(self):
+        assert RoundRobinRatioPolicy([0.0, 1.0]).ratios == [0.0, 1.0]
+        policy = QueueDepthRatioPolicy({4: 1.0, 8: 0.0}, base_ratio=1.0)
+        assert policy.thresholds == [(4, 1.0), (8, 0.0)]
+        assert policy.base_ratio == 1.0
+        decode = DecodePressureRatioPolicy(16, base_ratio=1.0, high_ratio=0.0)
+        assert (decode.base_ratio, decode.high_ratio) == (1.0, 0.0)
 
 
 def test_weighted_is_least_work():

@@ -14,10 +14,7 @@ from repro.serving.cluster import ClusterEngine, ServerSpec
 from repro.serving.core import (
     DROPPED,
     SERVED,
-    Event,
-    EventCalendar,
     LazyRequests,
-    P2Quantile,
     RequestStore,
     ReservoirSample,
     per_request_latencies,
@@ -73,32 +70,6 @@ def _assert_results_identical(fast, slow):
     assert len(fast.batch_records) == len(slow.batch_records)
     for a, b in zip(fast.batch_records, slow.batch_records):
         assert a == b
-
-
-class TestEventCalendar:
-    def test_orders_by_time(self):
-        calendar = EventCalendar()
-        calendar.schedule(3.0, "fault", "c")
-        calendar.schedule(1.0, "fault", "a")
-        calendar.schedule(2.0, "fault", "b")
-        assert [calendar.pop().payload for _ in range(3)] == ["a", "b", "c"]
-
-    def test_ties_break_by_push_order(self):
-        calendar = EventCalendar()
-        for tag in "abcd":
-            calendar.schedule(1.0, "fault", tag)
-        assert [calendar.pop().payload for _ in range(4)] == list("abcd")
-
-    def test_peek_and_pop_due(self):
-        calendar = EventCalendar()
-        assert calendar.peek() is None
-        assert calendar.peek_time() == float("inf")
-        calendar.push(Event(time=2.0, kind="scale"))
-        calendar.schedule(1.0, "fault")
-        assert calendar.peek_time() == 1.0
-        due = calendar.pop_due(1.5)
-        assert [event.time for event in due] == [1.0]
-        assert len(calendar) == 1 and bool(calendar)
 
 
 class TestRequestStore:
@@ -300,19 +271,6 @@ class TestColumnarFifoCore:
 
 
 class TestStreamingEstimators:
-    def test_p2_tracks_exact_percentile(self):
-        data = np.random.default_rng(1).exponential(1.0, size=20_000)
-        estimator = P2Quantile(0.95)
-        estimator.extend(data)
-        exact = float(np.percentile(data, 95))
-        assert abs(estimator.value - exact) / exact < 0.05
-        assert len(estimator) == len(data)
-
-    def test_p2_exact_below_five_observations(self):
-        estimator = P2Quantile(0.5)
-        estimator.extend([3.0, 1.0, 2.0])
-        assert estimator.value == 2.0
-
     def test_reservoir_is_deterministic_and_bounded(self):
         first = ReservoirSample(capacity=64, seed=9)
         second = ReservoirSample(capacity=64, seed=9)
@@ -329,11 +287,6 @@ class TestStreamingEstimators:
         reservoir = ReservoirSample(capacity=32, seed=0)
         reservoir.extend(np.full(100, 4.0))
         assert streaming_percentile(reservoir, 50) == 4.0
-        estimator = P2Quantile(0.9)
-        estimator.extend([1.0, 2.0, 3.0])
-        assert streaming_percentile(estimator, 90) == pytest.approx(2.8)
-        with pytest.raises(ValueError, match="tracks q=0.9"):
-            streaming_percentile(estimator, 50)
         assert streaming_percentile([1.0, 3.0], 50) == 2.0
 
 

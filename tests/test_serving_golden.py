@@ -2,18 +2,20 @@
 
 Every case serves one seeded request set through ``columnar=False`` — the
 object loop — and hashes what it produced: ``request_latencies.tobytes()``,
-the batch-record tuples and the drop count.  The digests in
-``golden_outcomes.json`` were recorded when FIFO still ran through its own
-array loop next to the scheduled heap loop; any change to admission,
-expiry, placement, batching or queue-depth accounting that moves a single
-float shows up here as a named case.
+the batch-record tuples, the drop count and, when responses are recorded,
+every :class:`~repro.serving.engine.Response`'s identity, timing, batch,
+ratio, server, drop flag, priority, deadline and migration count.  Any
+change to admission, expiry, placement, batching, queue-depth or response
+accounting that moves a single float shows up here as a named case.
 
 The grid crosses K ∈ {1, 3}, ``max_batch`` ∈ {1, 8, 32}, ``drop_after`` ∈
 {None, 0.004, 0.02}, single- and two-model endpoints (different modes and
 ratio policies), every shipped scheduler, the free-clock / least-work /
-weighted / model-affinity placers (and ``placer=None``), and three entry
+weighted / model-affinity placers (and ``placer=None``), and five entry
 points: ``run(requests=...)``, ``run(trace=...)`` (single-model FIFO only),
-streaming ``start``/``submit``/``step``, and stepping with preemption
+``run(requests=LazyRequests(store))`` over a columnar
+:class:`~repro.serving.core.RequestStore`, streaming
+``start``/``submit``/``step``, and stepping with preemption
 (every fifth batch's server is preempted at that batch's start and its
 requests requeued at exactly that instant).  Arrivals sit on a 0.1 ms grid
 so equal-arrival ties are common, streaming submits chunks out of arrival
@@ -37,6 +39,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.data.traces import RequestTrace
+from repro.serving.core import LazyRequests, RequestStore
 from repro.serving.engine import (
     BatchExecution,
     BatchingConfig,
@@ -70,7 +73,7 @@ MAX_BATCHES = (1, 8, 32)
 DROP_AFTERS = (None, 0.004, 0.02)
 SCHEDULERS = ("none", "fifo", "edf", "priority")
 PLACERS = ("none", "free_clock", "least_work", "weighted", "affinity")
-ENTRIES = ("requests", "trace", "stream", "preempt")
+ENTRIES = ("requests", "trace", "lazy", "stream", "preempt")
 
 
 class ScaledExecutor:
@@ -152,6 +155,8 @@ def make_engine(
 def serve(engine: ServingEngine, requests: List[Request], entry: str) -> EngineResult:
     if entry == "requests":
         return engine.run(requests=requests)
+    if entry == "lazy":
+        return engine.run(requests=LazyRequests(RequestStore.from_requests(requests)))
     if entry == "trace":
         arrivals = np.asarray([r.arrival_time for r in requests], dtype=np.float64)
         return engine.run(trace=RequestTrace(arrivals, duration=float(arrivals[-1])))
@@ -187,6 +192,15 @@ def digest(result: EngineResult) -> str:
         )
         h.update(repr(fields).encode())
     h.update(str(int(result.dropped)).encode())
+    for r in result.responses or ():
+        deadline = None if r.deadline is None else float(r.deadline).hex()
+        fields = (
+            int(r.request_id), r.model, float(r.start_time).hex(),
+            float(r.finish_time).hex(), int(r.batch_size), float(r.ratio).hex(),
+            int(r.server), bool(r.dropped), int(r.priority), deadline,
+            int(r.migrations),
+        )
+        h.update(repr(fields).encode())
     return h.hexdigest()[:DIGEST_HEX]
 
 
